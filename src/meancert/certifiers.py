@@ -32,12 +32,10 @@ from .linalg import (
     OrderVerdict,
     SpdMatrix,
     default_loewner_tol,
-    det_hermitian,
     hs_norm,
-    logdet_spd,
     loewner_leq,
 )
-from .means import ScalarPair
+from .means import ScalarPair, check_weight
 
 #: Base rate for margin tolerances: tol = TOL_RATE * tol_scale * (quantity scale + 1).
 TOL_RATE = 1e-9
@@ -123,21 +121,9 @@ def _degenerate(ineq_id: str, tol: float) -> CertificateReport:
     return CertificateReport(ineq_id, True, {}, float(tol), True, None)
 
 
-def _check_weight(v: float, lo: float = 0.0, hi: float = 1.0, open_interval: bool = False):
-    if open_interval:
-        if not (lo < v < hi):
-            raise ValueError(f"weight must lie in ({lo}, {hi}), got {v}")
-    elif not (lo <= v <= hi):
-        raise ValueError(f"weight must lie in [{lo}, {hi}], got {v}")
-
-
 def _check_lam(lam: float):
     if not (np.isfinite(lam) and lam >= 1):
         raise ValueError(f"power must satisfy lam >= 1, got {lam}")
-
-
-def _min_eig(h: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(h)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +133,7 @@ def _min_eig(h: np.ndarray) -> float:
 
 def check_scalar_agh(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> CertificateReport:
     """Scalar chain ``H_v <= G_v <= A_v`` (equality iff a = b)."""
-    _check_weight(v)
+    check_weight(v)
     g = means.scalar_geo(v, pair)
     h = means.scalar_harm(v, pair)
     s = means.scalar_arith(v, pair)
@@ -158,14 +144,13 @@ def check_scalar_agh(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> Cert
 
 def check_matrix_agh(a: SpdMatrix, b: SpdMatrix, v: float, tol_scale: float = 1.0) -> CertificateReport:
     """Matrix chain ``A !_v B <= A #_v B <= A nabla_v B`` in the semidefinite order."""
-    _check_weight(v)
-    geo = means.mat_geo(a, b, v)
-    harm = means.mat_harm(a, b, v)
-    arith = means.mat_arith(a, b, v)
+    check_weight(v)
+    pair = means.spectral_pair(a, b)
+    geo, harm, arith = pair.geo(v), pair.harm(v), pair.arith(v)
     tol = default_loewner_tol(a, b) * tol_scale
     margins = {
-        "geo_minus_harm": _min_eig(geo.mat - harm.mat),
-        "arith_minus_geo": _min_eig(arith.mat - geo.mat),
+        "geo_minus_harm": pair.min_eig(geo - harm),
+        "arith_minus_geo": pair.min_eig(arith - geo),
     }
     return _finish("matrix_agh", margins, tol, {"A": a, "B": b, "v": v})
 
@@ -180,8 +165,8 @@ def check_gap_ratio(
 
     Near-equal operands (the ratio's 0/0 set) give a degenerate report.
     """
-    _check_weight(v, open_interval=True)
-    _check_weight(tau, open_interval=True)
+    check_weight(v, open_interval=True)
+    check_weight(tau, open_interval=True)
     if v >= tau:
         raise WeightOrder(f"requires v < tau, got v={v}, tau={tau}")
     _check_lam(lam)
@@ -210,8 +195,8 @@ def probe_gap_ratio_limits(
     the gap to the respective bound and requiring both gap sequences to be
     non-increasing as ``eps`` decreases.
     """
-    _check_weight(v, open_interval=True)
-    _check_weight(tau, open_interval=True)
+    check_weight(v, open_interval=True)
+    check_weight(tau, open_interval=True)
     if v >= tau:
         raise WeightOrder(f"requires v < tau, got v={v}, tau={tau}")
     _check_lam(lam)
@@ -265,7 +250,7 @@ def check_half_weight_gap(
     where ``A``, ``H`` are the equal-weight means.  With ``squared=True``
     the same holds for squared means with factors ``4 min^2`` and ``4 max^2``.
     """
-    _check_weight(v, open_interval=True)
+    check_weight(v, open_interval=True)
     if squared:
         base = means.scalar_arith(0.5, pair) ** 2 - means.scalar_harm(0.5, pair) ** 2
         mid = means.scalar_arith(v, pair) ** 2 - means.scalar_harm(v, pair) ** 2
@@ -291,7 +276,7 @@ def check_inverse_convexity_gap(pair: ScalarPair, v: float, tol_scale: float = 1
 
     (the second derivative of ``1/x`` ranges over ``[2/b^3, 2/a^3]`` there).
     """
-    _check_weight(v, open_interval=True)
+    check_weight(v, open_interval=True)
     a, b = pair.a, pair.b
     if a >= b:
         raise RequiresOrdered(f"requires a < b, got a={a}, b={b}")
@@ -312,7 +297,7 @@ def check_one_sided_gap(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> C
 
         ``v(1-v)(1 - a/b)^2 a <= A_v - H_v <= v(1-v)(1 - b/a)^2 b``.
     """
-    _check_weight(v, open_interval=True)
+    check_weight(v, open_interval=True)
     a, b = pair.a, pair.b
     if a >= b:
         raise RequiresOrdered(f"requires a < b, got a={a}, b={b}")
@@ -339,7 +324,7 @@ def probe_normalized_gap(
     sandwich margins at each ``t`` and requires ``|g_v(t) - v(1-v)|`` to
     shrink monotonically as ``t`` decreases toward 1.
     """
-    _check_weight(v, open_interval=True)
+    check_weight(v, open_interval=True)
     ts = tuple(sorted(t_list))
     if not ts:
         raise ValueError("t_list must not be empty")
@@ -379,16 +364,16 @@ def check_matrix_gap_ratio(
 
     where ``G_w = A nabla_w B - A !_w B``.
     """
-    _check_weight(v, open_interval=True)
-    _check_weight(tau, open_interval=True)
+    check_weight(v, open_interval=True)
+    check_weight(tau, open_interval=True)
     if v > tau:
         raise WeightOrder(f"requires v <= tau, got v={v}, tau={tau}")
-    gap_v = means.mat_arith(a, b, v).mat - means.mat_harm(a, b, v).mat
-    gap_t = means.mat_arith(a, b, tau).mat - means.mat_harm(a, b, tau).mat
+    pair = means.spectral_pair(a, b)
+    gap_v, gap_t = pair.gap(v), pair.gap(tau)
     tol = default_loewner_tol(a, b) * tol_scale
     margins = {
-        "above_lower": _min_eig(gap_v - (v / tau) * gap_t),
-        "below_upper": _min_eig(((1 - v) / (1 - tau)) * gap_t - gap_v),
+        "above_lower": pair.min_eig(gap_v - (v / tau) * gap_t),
+        "below_upper": pair.min_eig(((1 - v) / (1 - tau)) * gap_t - gap_v),
     }
     return _finish("matrix_gap_ratio", margins, tol, {"A": a, "B": b, "v": v, "tau": tau})
 
@@ -433,14 +418,14 @@ def check_spread_gap_cap(
     The four hypothesis checks run first and a failing one raises
     :class:`HypothesisViolated` naming it.
     """
-    _check_weight(v)
+    check_weight(v)
     hyp_tol = default_loewner_tol(a, b) * tol_scale
     for name, verdict in spread_hypothesis_verdicts(a, b, bounds, hyp_tol).items():
         if not verdict.holds:
             raise HypothesisViolated(name, verdict.margin)
     coeff = v * (1 - v) * (1 - bounds.M / bounds.m) ** 2
-    gap = means.mat_arith(a, b, v).mat - means.mat_harm(a, b, v).mat
-    margin = _min_eig(coeff * b.mat - gap)
+    pair = means.spectral_pair(a, b)
+    margin = pair.min_eig(coeff * pair.mu - pair.gap(v))
     tol = TOL_RATE * tol_scale * ((coeff + 1.0) * hs_norm(b) + hs_norm(a) + 1.0)
     return _finish(
         "spread_gap_cap",
@@ -455,10 +440,18 @@ def check_spread_gap_cap(
 # ---------------------------------------------------------------------------
 
 
-def _hs_gap_squared(a: SpdMatrix, b: SpdMatrix, x, v: float) -> tuple[float, float]:
+def _one_sided(a: SpdMatrix, b: SpdMatrix, x) -> means.OneSidedPair:
+    """The one-sided pair of ``(A, B, X)``, with ``X`` checked invertible as
+    :func:`meancert.means.x_harm` requires."""
+    pair = means.one_sided_pair(a, b, x)
+    means.check_invertible(pair.y)
+    return pair
+
+
+def _hs_gap_squared(pair: means.OneSidedPair, v: float) -> tuple[float, float]:
     """(||arith||_F^2 - ||harm||_F^2, sum of the two squares) at weight v."""
-    na = hs_norm(means.x_arith(a, b, x, v)) ** 2
-    nh = hs_norm(means.x_harm(a, b, x, v)) ** 2
+    na = pair.hs_norm2(pair.arith(v))
+    nh = pair.hs_norm2(pair.harm(v))
     return na - nh, na + nh
 
 
@@ -474,12 +467,13 @@ def check_hs_gap_ratio(
     tolerance is scaled by the ratio's cancellation factor (norm scale over
     ``|D(tau)|``), since that is the comparison's actual conditioning.
     """
-    _check_weight(v, open_interval=True)
-    _check_weight(tau, open_interval=True)
+    check_weight(v, open_interval=True)
+    check_weight(tau, open_interval=True)
     if v > tau:
         raise WeightOrder(f"requires v <= tau, got v={v}, tau={tau}")
-    dnum, snum = _hs_gap_squared(a, b, x, v)
-    dden, sden = _hs_gap_squared(a, b, x, tau)
+    pair = _one_sided(a, b, x)
+    dnum, snum = _hs_gap_squared(pair, v)
+    dden, sden = _hs_gap_squared(pair, tau)
     if abs(dden) <= HS_DENOMINATOR_FLOOR * (sden + 1.0):
         return _degenerate("hs_gap_ratio", TOL_RATE * tol_scale)
     ratio = dnum / dden
@@ -500,10 +494,11 @@ def check_hs_agh_chain(
         ``||v A X + (1-v) X B||_F^2 >= ||A^v X B^(1-v)||_F^2
           >= ||x_harm(A, B, X, v)||_F^2``.
     """
-    _check_weight(v)
-    na = hs_norm(means.x_arith(a, b, x, v)) ** 2
-    ng = hs_norm(means.x_geo(a, b, x, v)) ** 2
-    nh = hs_norm(means.x_harm(a, b, x, v)) ** 2
+    check_weight(v)
+    pair = _one_sided(a, b, x)
+    na = pair.hs_norm2(pair.arith(v))
+    ng = pair.hs_norm2(pair.geo(v))
+    nh = pair.hs_norm2(pair.harm(v))
     tol = TOL_RATE * tol_scale * (na + ng + nh + 1.0)
     margins = {"arith_minus_geo": na - ng, "geo_minus_harm": ng - nh}
     return _finish("hs_agh_chain", margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v})
@@ -520,8 +515,9 @@ def check_hs_half_weight_gap(
     """
     if not 0 < v <= 0.5:
         raise ValueError(f"weight must lie in (0, 1/2], got {v}")
-    d_v, s_v = _hs_gap_squared(a, b, x, v)
-    d_half, s_half = _hs_gap_squared(a, b, x, 0.5)
+    pair = _one_sided(a, b, x)
+    d_v, s_v = _hs_gap_squared(pair, v)
+    d_half, s_half = _hs_gap_squared(pair, 0.5)
     tol = TOL_RATE * tol_scale * (s_v + s_half + 1.0)
     margins = {
         "above_lower": d_v - 4 * v**2 * d_half,
@@ -554,10 +550,10 @@ def check_det_power_order(
     Computed in log-determinant space to survive ``lam``-th powers of large
     determinants.
     """
-    _check_weight(v)
+    check_weight(v)
     _check_lam(lam)
-    ld_arith = logdet_spd(means.mat_arith(a, b, v))
-    ld_harm = logdet_spd(means.mat_harm(a, b, v))
+    ld_arith = means.logdet_arith(a, b, v)
+    ld_harm = means.logdet_harm(a, b, v)
     margin = _stable_power_difference(ld_arith, ld_harm, lam)
     with np.errstate(over="ignore"):
         scale = float(np.exp(lam * ld_arith) + np.exp(lam * ld_harm))
@@ -616,21 +612,19 @@ def check_det_root_gap(
     ``G_tau`` (the two operands nearly equal) gives a degenerate report since
     its determinant root is then meaningless.
     """
-    _check_weight(v, open_interval=True)
-    _check_weight(tau, open_interval=True)
+    check_weight(v, open_interval=True)
+    check_weight(tau, open_interval=True)
     if v > tau:
         raise WeightOrder(f"requires v <= tau, got v={v}, tau={tau}")
     _check_lam(lam)
     n = a.dim
-    arith_tau = means.mat_arith(a, b, tau)
-    gap_tau = arith_tau.mat - means.mat_harm(a, b, tau).mat
-    gap_eigs = np.linalg.eigvalsh(gap_tau)
+    pair = means.spectral_pair(a, b)
     tol_base = TOL_RATE * tol_scale
-    if gap_eigs[0] <= DET_GAP_FLOOR * hs_norm(arith_tau):
+    if pair.min_eig(pair.gap(tau)) <= DET_GAP_FLOOR * hs_norm(tau * a.mat + (1 - tau) * b.mat):
         return _degenerate("det_root_gap", tol_base)
-    ld_arith = logdet_spd(means.mat_arith(a, b, v))
-    ld_harm = logdet_spd(means.mat_harm(a, b, v))
-    ld_gap = float(np.sum(np.log(gap_eigs)))
+    ld_arith = means.logdet_arith(a, b, v)
+    ld_harm = means.logdet_harm(a, b, v)
+    ld_gap = means.logdet_gap(a, b, tau)
     t_gap = (v / tau) ** lam * np.exp(lam / n * ld_gap)
     margin = _stable_power_difference(ld_arith, ld_harm, lam / n) - t_gap
     scale = float(np.exp(lam / n * ld_arith) + np.exp(lam / n * ld_harm) + t_gap)
@@ -643,6 +637,18 @@ def check_det_root_gap(
     )
 
 
+def _det_gap(
+    ineq_id: str, a: SpdMatrix, b: SpdMatrix, v: float, tau: float, tol_scale: float
+) -> CertificateReport:
+    n = a.dim
+    d_arith = np.exp(means.logdet_arith(a, b, v))
+    d_harm = np.exp(means.logdet_harm(a, b, v))
+    t_gap = (v / tau) ** n * np.exp(means.logdet_gap(a, b, tau))
+    margin = float(d_arith - d_harm - t_gap)
+    tol = TOL_RATE * tol_scale * (d_arith + d_harm + t_gap + 1.0)
+    return _finish(ineq_id, {"det_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": tau})
+
+
 def check_det_gap(
     a: SpdMatrix, b: SpdMatrix, v: float, tau: float, tol_scale: float = 1.0
 ) -> CertificateReport:
@@ -650,20 +656,11 @@ def check_det_gap(
 
         ``det(A !_v B) + (v/tau)^n det(G_tau) <= det(A nabla_v B)``.
     """
-    _check_weight(v, open_interval=True)
-    _check_weight(tau, open_interval=True)
+    check_weight(v, open_interval=True)
+    check_weight(tau, open_interval=True)
     if v > tau:
         raise WeightOrder(f"requires v <= tau, got v={v}, tau={tau}")
-    n = a.dim
-    gap_tau = HermitianMatrix(
-        means.mat_arith(a, b, tau).mat - means.mat_harm(a, b, tau).mat
-    )
-    d_arith = np.exp(logdet_spd(means.mat_arith(a, b, v)))
-    d_harm = np.exp(logdet_spd(means.mat_harm(a, b, v)))
-    t_gap = (v / tau) ** n * det_hermitian(gap_tau)
-    margin = float(d_arith - d_harm - t_gap)
-    tol = TOL_RATE * tol_scale * (d_arith + d_harm + abs(t_gap) + 1.0)
-    return _finish("det_gap", {"det_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": tau})
+    return _det_gap("det_gap", a, b, v, tau, tol_scale)
 
 
 def check_det_half_weight_gap(
@@ -672,16 +669,10 @@ def check_det_half_weight_gap(
     """Half-weight determinant bound, ``0 <= v <= 1/2``:
 
         ``det(A !_v B) + (2v)^n det(A nabla B - A ! B) <= det(A nabla_v B)``.
+
+    The body of :func:`check_det_gap` at ``tau = 1/2``, which also admits
+    the ``v = 0`` endpoint.
     """
     if not 0 <= v <= 0.5:
         raise ValueError(f"weight must lie in [0, 1/2], got {v}")
-    n = a.dim
-    gap_half = HermitianMatrix(
-        means.mat_arith(a, b, 0.5).mat - means.mat_harm(a, b, 0.5).mat
-    )
-    d_arith = np.exp(logdet_spd(means.mat_arith(a, b, v)))
-    d_harm = np.exp(logdet_spd(means.mat_harm(a, b, v)))
-    t_gap = (2 * v) ** n * det_hermitian(gap_half)
-    margin = float(d_arith - d_harm - t_gap)
-    tol = TOL_RATE * tol_scale * (d_arith + d_harm + abs(t_gap) + 1.0)
-    return _finish("det_half_weight_gap", {"det_gap": margin}, tol, {"A": a, "B": b, "v": v})
+    return _det_gap("det_half_weight_gap", a, b, v, 0.5, tol_scale)

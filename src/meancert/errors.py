@@ -14,7 +14,9 @@ class ConvergenceFailure(MeanCertError):
 
 
 class IllConditioned(MeanCertError):
-    """Condition number exceeds the configured cap for a stable inverse."""
+    """Condition number exceeds the configured cap for a stable inverse, or a
+    factorization of a certified positive definite input fails in double
+    precision."""
 
 
 class Singular(MeanCertError):

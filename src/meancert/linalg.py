@@ -277,13 +277,30 @@ def determinant_spd(p: SpdMatrix) -> float:
     return float(np.prod(eig_hermitian(p).eigenvalues))
 
 
-def logdet_spd(p: SpdMatrix) -> float:
-    """Natural log of the determinant, summed over the spectrum.
+def cholesky(m) -> np.ndarray:
+    """Lower Cholesky factor ``L`` of a Hermitian positive definite ``M = L L*``.
 
-    Overflow-safe route for powers and products of determinants: combine
-    log-dets and exponentiate once.
+    Raises
+    ------
+    IllConditioned
+        If the factorization fails in double precision.
     """
-    return float(np.sum(np.log(eig_hermitian(p).eigenvalues)))
+    try:
+        return np.linalg.cholesky(_as_array(m))
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(f"Cholesky factorization failed: {exc}") from exc
+
+
+def logdet_spd(p) -> float:
+    """Natural log of the determinant of a positive definite matrix (carrier
+    or array), twice the sum of the logs of its Cholesky diagonal.
+
+    Accurate relative to the determinant even where the smallest
+    eigenvalues carry a large relative error.  Overflow-safe route for
+    powers and products of determinants: combine log-dets and exponentiate
+    once.
+    """
+    return 2.0 * float(np.sum(np.log(cholesky(p).diagonal().real)))
 
 
 def det_hermitian(h: HermitianMatrix) -> float:

@@ -9,19 +9,38 @@ Weight convention: ``v`` always weights the *first* operand.  For scalars,
 and ``H_v <= G_v <= A_v`` with equality iff ``a = b``.  The matrix means
 follow the same convention (``v = 1`` returns the first operand, ``v = 0``
 the second, for all three), so diagonal operands reduce entrywise to the
-scalar means with the same pairing.  The two-sided geometric mean is
+scalar means with the same pairing.
 
-    ``mat_geo(A, B, v) = A^(1/2) (A^(-1/2) B A^(-1/2))^(1-v) A^(1/2)``
+Two-sided matrix means go through one simultaneous congruence, the
+*spectral pair* of ``A`` and ``B`` (:func:`spectral_pair`).  With the
+Cholesky factor ``A = L L*`` and the eigendecomposition
+``L^-1 B L^-* = W diag(mu) W*``, the matrix ``S = L W`` gives
 
-which keeps the endpoint map aligned with ``mat_arith`` and ``mat_harm``.
+    ``A = S S*``  and  ``B = S diag(mu) S*``,
+
+so every mean of the pair is ``S diag(f(mu)) S*`` for the scalar mean
+``f`` of ``(1, mu_i)`` (:func:`arith_map`, :func:`harm_map`,
+:func:`geo_map`, and the cancellation-free :func:`gap_map`), at any
+weight.  In particular the geometric mean is
+``A^(1/2) (A^(-1/2) B A^(-1/2))^(1-v) A^(1/2)`` and the harmonic mean
+``(v A^-1 + (1-v) B^-1)^-1``, without forming either.  Log-determinants of
+the means come from Cholesky factorizations of linear combinations of
+``A`` and ``B`` instead (:func:`logdet_arith`, :func:`logdet_harm`,
+:func:`logdet_gap`): a small ``mu_i`` carries the eigensolver's absolute
+error ``eps * max(mu)``, which a log-determinant turns into a relative one.
+A Cholesky factorization that fails, or a ``mu`` that is not positive (the
+pair is beyond double precision), raises :class:`IllConditioned`; the
+eigensolver's quality gates raise :class:`ConvergenceFailure`.
 
 The one-sided ("X-weighted") means act on an arbitrary square matrix ``X``
 between positive definite ``A`` (multiplying from the left) and ``B``
 (multiplying from the right): each is the scalar mean evaluated on the
 commuting pair of left- and right-multiplication operators, applied to
-``X``.  For the arithmetic mean this collapses to ``v A X + (1 - v) X B``;
-for the geometric mean, to ``A^v X B^(1-v)``.  The harmonic mean has no
-such closed product form; see :func:`x_harm`.
+``X``.  With ``A = U diag(alpha) U*``, ``B = V diag(beta) V*`` and
+``Y = U* X V`` (:func:`one_sided_pair`), the mean is
+``U [f(alpha_i, beta_j) y_ij] V*``.  For the arithmetic mean this collapses
+to ``v A X + (1 - v) X B``; for the geometric mean, to ``A^v X B^(1-v)``.
+The harmonic mean has no such closed product form; see :func:`x_harm`.
 """
 
 from __future__ import annotations
@@ -31,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateInput, DimensionMismatch, Singular
-from .linalg import SpdMatrix, eig_hermitian
+from .errors import DegenerateInput, DimensionMismatch, IllConditioned, Singular
+from .linalg import EigenDecomposition, SpdMatrix, cholesky, eig_hermitian, logdet_spd
 
 #: Relative gap below which a scalar pair counts as degenerate for ratios (0/0 form).
 RATIO_DEGENERACY_GUARD = 1e-12
@@ -70,7 +89,8 @@ class MeanParams:
     t: float | None = None
 
 
-def _check_weight(v: float, lo: float = 0.0, hi: float = 1.0, open_interval: bool = False):
+def check_weight(v: float, lo: float = 0.0, hi: float = 1.0, open_interval: bool = False):
+    """Raise ``ValueError`` unless ``v`` lies in ``[lo, hi]`` (or ``(lo, hi)``)."""
     if open_interval:
         if not (lo < v < hi):
             raise ValueError(f"weight must lie in the open interval ({lo}, {hi}), got {v}")
@@ -85,7 +105,7 @@ def power_mean(t: float, v: float, pair: ScalarPair) -> float:
     mean at ``t = 0`` to the arithmetic mean at ``t = 1``; non-decreasing
     in ``t``.
     """
-    _check_weight(v)
+    check_weight(v)
     if t == 0:
         return scalar_geo(v, pair)
     return float((v * pair.a**t + (1 - v) * pair.b**t) ** (1.0 / t))
@@ -93,32 +113,32 @@ def power_mean(t: float, v: float, pair: ScalarPair) -> float:
 
 def scalar_arith(v: float, pair: ScalarPair) -> float:
     """Weighted arithmetic mean ``v a + (1 - v) b``."""
-    _check_weight(v)
+    check_weight(v)
     return v * pair.a + (1 - v) * pair.b
 
 
 def scalar_harm(v: float, pair: ScalarPair) -> float:
     """Weighted harmonic mean ``(v / a + (1 - v) / b)^-1``."""
-    _check_weight(v)
+    check_weight(v)
     return 1.0 / (v / pair.a + (1 - v) / pair.b)
 
 
 def scalar_geo(v: float, pair: ScalarPair) -> float:
     """Weighted geometric mean ``a^v b^(1 - v)``."""
-    _check_weight(v)
+    check_weight(v)
     return float(pair.a**v * pair.b ** (1 - v))
 
 
 def arith_harm_gap(v: float, pair: ScalarPair) -> float:
     """The difference ``A_v(a, b) - H_v(a, b)`` in cancellation-free form.
 
-    Uses the exact rearrangement ``v (1-v) (a - b)^2 / (v b + (1 - v) a)``;
-    the naive subtraction loses all significant digits once ``a`` is within
-    about ``sqrt(eps)`` of ``b``, which the limit probes must survive.
+    Uses the exact rearrangement ``v (1-v) (a - b)^2 / (v b + (1 - v) a)``
+    (:func:`gap_map`); the naive subtraction loses all significant digits
+    once ``a`` is within about ``sqrt(eps)`` of ``b``, which the limit
+    probes must survive.
     """
-    _check_weight(v)
-    a, b = pair.a, pair.b
-    return v * (1 - v) * (a - b) ** 2 / (v * b + (1 - v) * a)
+    check_weight(v)
+    return gap_map(v, pair.a, pair.b)
 
 
 def gap_power_ratio(v: float, tau: float, lam: float, pair: ScalarPair) -> float:
@@ -136,8 +156,8 @@ def gap_power_ratio(v: float, tau: float, lam: float, pair: ScalarPair) -> float
     DegenerateInput
         If the operands agree to within ``RATIO_DEGENERACY_GUARD`` (0/0 form).
     """
-    _check_weight(v, open_interval=True)
-    _check_weight(tau, open_interval=True)
+    check_weight(v, open_interval=True)
+    check_weight(tau, open_interval=True)
     if lam < 1:
         raise ValueError(f"power must satisfy lam >= 1, got {lam}")
     if pair.is_degenerate():
@@ -147,54 +167,162 @@ def gap_power_ratio(v: float, tau: float, lam: float, pair: ScalarPair) -> float
     return float(num / den)
 
 
+# ---------------------------------------------------------------------------
+# elementwise scalar means: the spectral maps of both matrix engines
+# ---------------------------------------------------------------------------
+
+
+def arith_map(v: float, a, b):
+    """Elementwise ``v a + (1 - v) b``."""
+    return v * a + (1 - v) * b
+
+
+def harm_map(v: float, a, b):
+    """Elementwise ``(v / a + (1 - v) / b)^-1``."""
+    return 1.0 / (v / a + (1 - v) / b)
+
+
+def geo_map(v: float, a, b):
+    """Elementwise ``a^v b^(1 - v)``."""
+    return a**v * b ** (1 - v)
+
+
+def gap_map(v: float, a, b):
+    """Elementwise arithmetic-minus-harmonic gap ``v(1-v)(a-b)^2 / (v b + (1-v) a)``."""
+    return v * (1 - v) * (a - b) ** 2 / (v * b + (1 - v) * a)
+
+
+# ---------------------------------------------------------------------------
+# two-sided means: the spectral pair engine
+# ---------------------------------------------------------------------------
+
+
 def _check_dims(a: SpdMatrix, b: SpdMatrix):
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def mat_arith(a: SpdMatrix, b: SpdMatrix, v: float) -> SpdMatrix:
-    """Weighted arithmetic mean ``v A + (1 - v) B``."""
-    _check_dims(a, b)
-    _check_weight(v)
-    return SpdMatrix(v * a.mat + (1 - v) * b.mat)
+@dataclass(frozen=True)
+class SpectralPair:
+    """Simultaneous congruence ``A = S S*``, ``B = S diag(mu) S*``.
+
+    ``mu`` holds the eigenvalues of ``L^-1 B L^-*`` (non-increasing, all
+    positive).  The per-weight methods return the diagonal ``d`` of a mean
+    or gap in this congruence; the matrix itself is :meth:`congruence` of
+    ``d``.
+    """
+
+    s: np.ndarray
+    mu: np.ndarray
+
+    def arith(self, v: float) -> np.ndarray:
+        return arith_map(v, 1.0, self.mu)
+
+    def harm(self, v: float) -> np.ndarray:
+        return harm_map(v, 1.0, self.mu)
+
+    def geo(self, v: float) -> np.ndarray:
+        return geo_map(v, 1.0, self.mu)
+
+    def gap(self, v: float) -> np.ndarray:
+        return gap_map(v, 1.0, self.mu)
+
+    def congruence(self, d: np.ndarray) -> np.ndarray:
+        """``S diag(d) S*``, re-symmetrized after rounding."""
+        m = (self.s * d) @ self.s.conj().T
+        return (m + m.conj().T) / 2.0
+
+    def min_eig(self, d: np.ndarray) -> float:
+        """Smallest eigenvalue of ``S diag(d) S*``."""
+        return float(np.linalg.eigvalsh(self.congruence(d))[0])
 
 
-def mat_harm(a: SpdMatrix, b: SpdMatrix, v: float) -> SpdMatrix:
-    """Weighted harmonic mean ``(v A^-1 + (1 - v) B^-1)^-1``.
+def spectral_pair(a: SpdMatrix, b: SpdMatrix) -> SpectralPair:
+    """One Cholesky factorization of ``A`` and one gated eigendecomposition.
 
-    Endpoint weights return the corresponding operand exactly (the means
-    extend to ``v in {0, 1}`` by continuity).
+    Raises
+    ------
+    IllConditioned
+        If the Cholesky factorization of ``A`` fails or ``mu`` is not
+        positive.
+    ConvergenceFailure
+        If the eigendecomposition misses its quality gates.
     """
     _check_dims(a, b)
-    _check_weight(v)
+    chol = cholesky(a)
+    chol_inv = np.linalg.inv(chol)
+    dec = eig_hermitian(chol_inv @ b.mat @ chol_inv.conj().T)
+    mu = dec.eigenvalues
+    if not mu[-1] > 0:  # NaN-safe comparison
+        raise IllConditioned(f"B is not numerically positive relative to A (min mu {mu[-1]:.3e})")
+    return SpectralPair(chol @ dec.unitary, mu)
+
+
+def logdet_arith(a: SpdMatrix, b: SpdMatrix, v: float) -> float:
+    """``log det(A nabla_v B)``."""
+    return logdet_spd(v * a.mat + (1 - v) * b.mat)
+
+
+def logdet_harm(a: SpdMatrix, b: SpdMatrix, v: float) -> float:
+    """``log det(A !_v B)``, from ``det(A !_v B) = det A det B / det(v B + (1-v) A)``."""
+    return logdet_spd(a) + logdet_spd(b) - logdet_spd(v * b.mat + (1 - v) * a.mat)
+
+
+def logdet_gap(a: SpdMatrix, b: SpdMatrix, v: float) -> float:
+    """``log det(A nabla_v B - A !_v B)`` (``-inf`` when ``A - B`` is singular), from
+
+        ``A nabla_v B - A !_v B = v (1-v) (A - B) (v B + (1-v) A)^-1 (A - B)``.
+    """
+    _, logabs = np.linalg.slogdet(a.mat - b.mat)
+    return a.dim * np.log(v * (1 - v)) + 2.0 * float(logabs) - logdet_spd(
+        v * b.mat + (1 - v) * a.mat
+    )
+
+
+def _two_sided(a: SpdMatrix, b: SpdMatrix, v: float, spectral) -> SpdMatrix:
+    _check_dims(a, b)
+    check_weight(v)
     if v == 0:
         return b
     if v == 1:
         return a
-    ia = linalg.inverse(a)
-    ib = linalg.inverse(b)
-    return linalg.inverse(SpdMatrix(v * ia.mat + (1 - v) * ib.mat))
+    pair = spectral_pair(a, b)
+    return SpdMatrix(pair.congruence(spectral(pair, v)))
+
+
+def mat_arith(a: SpdMatrix, b: SpdMatrix, v: float) -> SpdMatrix:
+    """Weighted arithmetic mean ``v A + (1 - v) B``.
+
+    Formed directly: it is linear, so the congruence would only add work.
+    """
+    _check_dims(a, b)
+    check_weight(v)
+    return SpdMatrix(v * a.mat + (1 - v) * b.mat)
+
+
+def mat_harm(a: SpdMatrix, b: SpdMatrix, v: float) -> SpdMatrix:
+    """Weighted harmonic mean ``(v A^-1 + (1 - v) B^-1)^-1 = S diag(H_v(1, mu)) S*``.
+
+    Endpoint weights return the corresponding operand exactly (the means
+    extend to ``v in {0, 1}`` by continuity).
+    """
+    return _two_sided(a, b, v, SpectralPair.harm)
 
 
 def mat_geo(a: SpdMatrix, b: SpdMatrix, v: float) -> SpdMatrix:
-    """Weighted geometric mean ``A^(1/2) (A^(-1/2) B A^(-1/2))^(1-v) A^(1/2)``.
+    """Weighted geometric mean ``A^(1/2) (A^(-1/2) B A^(-1/2))^(1-v) A^(1/2)``,
+    evaluated as ``S diag(mu^(1-v)) S*``.
 
     The exponent ``1 - v`` keeps the weight on the first operand, matching
     :func:`mat_arith` and :func:`mat_harm`: ``v = 1`` gives ``A``, ``v = 0``
     gives ``B``, and diagonal operands reduce to ``a_i^v b_i^(1-v)``.
     """
-    _check_dims(a, b)
-    _check_weight(v)
-    if v == 0:
-        return b
-    if v == 1:
-        return a
-    dec = eig_hermitian(a)
-    root = dec.apply(np.sqrt(dec.eigenvalues))
-    iroot = dec.apply(1.0 / np.sqrt(dec.eigenvalues))
-    inner = SpdMatrix(iroot @ b.mat @ iroot)
-    mid = eig_hermitian(inner)
-    return SpdMatrix(root @ mid.apply(mid.eigenvalues ** (1 - v)) @ root)
+    return _two_sided(a, b, v, SpectralPair.geo)
+
+
+# ---------------------------------------------------------------------------
+# one-sided means
+# ---------------------------------------------------------------------------
 
 
 def _check_x(a: SpdMatrix, b: SpdMatrix, x) -> np.ndarray:
@@ -206,21 +334,74 @@ def _check_x(a: SpdMatrix, b: SpdMatrix, x) -> np.ndarray:
     return xm
 
 
+def check_invertible(x: np.ndarray):
+    """Raise :class:`Singular` unless ``X`` is numerically invertible.
+
+    ``Y = U* X V`` of a :class:`OneSidedPair` has the singular values of
+    ``X``, so either may be checked.
+    """
+    sv = np.linalg.svd(x, compute_uv=False)
+    if sv[-1] <= linalg.PIVOT_THRESHOLD * max(1.0, float(sv[0])):
+        raise Singular(f"X is numerically singular (smallest singular value {sv[-1]:.3e})")
+
+
+@dataclass(frozen=True)
+class OneSidedPair:
+    """``A = U diag(alpha) U*`` on the left, ``B = V diag(beta) V*`` on the
+    right, and ``Y = U* X V``.
+
+    The per-weight methods return the grid ``f(alpha_i, beta_j)`` of a
+    one-sided mean; :meth:`apply` assembles the matrix
+    ``U [f_ij y_ij] V*`` and :meth:`hs_norm2` its squared Hilbert-Schmidt
+    norm ``sum |f_ij y_ij|^2`` without assembling it.
+    """
+
+    left: EigenDecomposition
+    right: EigenDecomposition
+    y: np.ndarray
+
+    def _grid(self, spectral_map, v: float) -> np.ndarray:
+        return spectral_map(v, self.left.eigenvalues[:, None], self.right.eigenvalues[None, :])
+
+    def arith(self, v: float) -> np.ndarray:
+        return self._grid(arith_map, v)
+
+    def harm(self, v: float) -> np.ndarray:
+        return self._grid(harm_map, v)
+
+    def geo(self, v: float) -> np.ndarray:
+        return self._grid(geo_map, v)
+
+    def apply(self, grid: np.ndarray) -> np.ndarray:
+        return self.left.unitary @ (grid * self.y) @ self.right.unitary.conj().T
+
+    def hs_norm2(self, grid: np.ndarray) -> float:
+        return float(np.sum(np.abs(grid * self.y) ** 2))
+
+
+def one_sided_pair(a: SpdMatrix, b: SpdMatrix, x) -> OneSidedPair:
+    """One gated eigendecomposition each of ``A`` and ``B``, and ``Y = U* X V``."""
+    xm = _check_x(a, b, x)
+    da = eig_hermitian(a)
+    db = eig_hermitian(b)
+    return OneSidedPair(da, db, da.unitary.conj().T @ xm @ db.unitary)
+
+
 def x_arith(a: SpdMatrix, b: SpdMatrix, x, v: float) -> np.ndarray:
     """One-sided weighted arithmetic mean ``v A X + (1 - v) X B``.
 
     Generally non-Hermitian; no Hermitization is applied.
     """
     xm = _check_x(a, b, x)
-    _check_weight(v)
+    check_weight(v)
     return v * (a.mat @ xm) + (1 - v) * (xm @ b.mat)
 
 
 def x_geo(a: SpdMatrix, b: SpdMatrix, x, v: float) -> np.ndarray:
     """One-sided weighted geometric mean ``A^v X B^(1 - v)``."""
-    xm = _check_x(a, b, x)
-    _check_weight(v)
-    return linalg.matrix_power(a, v).mat @ xm @ linalg.matrix_power(b, 1 - v).mat
+    check_weight(v)
+    pair = one_sided_pair(a, b, x)
+    return pair.apply(pair.geo(v))
 
 
 def x_harm(a: SpdMatrix, b: SpdMatrix, x, v: float) -> np.ndarray:
@@ -245,16 +426,10 @@ def x_harm(a: SpdMatrix, b: SpdMatrix, x, v: float) -> np.ndarray:
         If ``X`` is not numerically invertible (this mean participates in
         comparisons that require an invertible ``X``).
     """
-    xm = _check_x(a, b, x)
-    _check_weight(v)
-    sv = np.linalg.svd(xm, compute_uv=False)
-    if sv[-1] <= linalg.PIVOT_THRESHOLD * max(1.0, float(sv[0])):
-        raise Singular(f"X is numerically singular (smallest singular value {sv[-1]:.3e})")
-    da = eig_hermitian(a)
-    db = eig_hermitian(b)
-    y = da.unitary.conj().T @ xm @ db.unitary
-    weights = 1.0 / (v / da.eigenvalues[:, None] + (1 - v) / db.eigenvalues[None, :])
-    return da.unitary @ (weights * y) @ db.unitary.conj().T
+    check_weight(v)
+    pair = one_sided_pair(a, b, x)
+    check_invertible(pair.y)
+    return pair.apply(pair.harm(v))
 
 
 def normalized_gap(v: float, t: float) -> float:
@@ -267,7 +442,7 @@ def normalized_gap(v: float, t: float) -> float:
     nearby.  For ``t > 1``: ``v(1-v)/t < g_v(t) < v(1-v)``, and
     ``g_v(t) -> v(1-v)`` as ``t -> 1``.
     """
-    _check_weight(v, open_interval=True)
+    check_weight(v, open_interval=True)
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"t must be a positive real, got {t}")
     return v * (1 - v) / (v * t + 1 - v)

@@ -232,7 +232,7 @@ def test_criterion_8_negative_controls(tmp_path, monkeypatch):
         with pytest.raises(WeightOrder):
             check_matrix_gap_ratio(a, b, 0.7, 0.3)
 
-        monkeypatch.setattr(means, "mat_harm", means.mat_arith)
+        monkeypatch.setattr(means, "harm_map", means.arith_map)
         out = tmp_path / "corrupted.json"
         code = cli.main(
             [

@@ -513,7 +513,7 @@ class TestWitnesses:
     def test_corrupted_mean_fails_with_witness(self, monkeypatch):
         # replacing the harmonic mean by the arithmetic one must break the
         # chain and produce a serializable witness
-        monkeypatch.setattr(means, "mat_harm", means.mat_arith)
+        monkeypatch.setattr(means, "harm_map", means.arith_map)
         a, b = spd_pair(27, 3)
         rep = check_matrix_agh(a, b, 0.4)
         assert not rep.holds and rep.verdict == "fail"
@@ -526,7 +526,7 @@ class TestWitnesses:
         assert isinstance(entry, list) and len(entry) == 2
 
     def test_witness_roundtrip_reconstructs_matrix(self, monkeypatch):
-        monkeypatch.setattr(means, "mat_harm", means.mat_arith)
+        monkeypatch.setattr(means, "harm_map", means.arith_map)
         a, b = spd_pair(28, 2)
         rep = check_matrix_agh(a, b, 0.3)
         assert rep.witness is not None

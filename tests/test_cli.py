@@ -121,7 +121,7 @@ class TestVerifyCommand:
     def test_corrupted_mean_exits_one_with_witness(self, tmp_path, monkeypatch):
         from meancert import means
 
-        monkeypatch.setattr(means, "mat_harm", means.mat_arith)
+        monkeypatch.setattr(means, "harm_map", means.arith_map)
         out = tmp_path / "bad.json"
         code = run_cli(
             [
@@ -139,7 +139,7 @@ class TestVerifyCommand:
     def test_csv_failures_write_witness_sidecar(self, tmp_path, monkeypatch):
         from meancert import means
 
-        monkeypatch.setattr(means, "mat_harm", means.mat_arith)
+        monkeypatch.setattr(means, "harm_map", means.arith_map)
         out = tmp_path / "bad.csv"
         code = run_cli(
             [
@@ -150,6 +150,40 @@ class TestVerifyCommand:
         assert code == 1
         sidecar = json.loads((tmp_path / "bad.csv.witnesses.json").read_text())
         assert sidecar["witnesses"]
+
+
+class TestHighConditionCaps:
+    MATRIX_IDS = (
+        "matrix_agh", "matrix_gap_ratio", "matrix_half_weight_gap", "spread_gap_cap",
+        "hs_gap_ratio", "hs_agh_chain", "hs_half_weight_gap", "det_power_order",
+        "det_root_gap", "det_gap", "det_half_weight_gap",
+    )
+
+    def verdicts(self, path):
+        rows = path.read_text().strip().split("\n")[1:]
+        return [row.split(",")[10] for row in rows]
+
+    def test_matrix_agh_cap_1e8_runs_to_verdicts(self, tmp_path):
+        # the direct geometric mean rejects its inner A^(-1/2) B A^(-1/2) at this cap
+        out = tmp_path / "cap.csv"
+        code = run_cli(
+            ["verify", "--select", "matrix_agh", "--cond-caps", "1e8", "--trials", "100",
+             "--out", str(out)]
+        )
+        assert code == 0
+        verdicts = self.verdicts(out)
+        assert len(verdicts) == 100 and "fail" not in verdicts
+
+    @pytest.mark.parametrize("ineq", MATRIX_IDS)
+    def test_matrix_valued_ids_cap_1e8(self, tmp_path, ineq):
+        out = tmp_path / "cap.csv"
+        code = run_cli(
+            ["verify", "--select", ineq, "--cond-caps", "1e8", "--trials", "20",
+             "--dims", "4,8,32", "--out", str(out)]
+        )
+        assert code == 0
+        verdicts = self.verdicts(out)
+        assert len(verdicts) == 20 and "fail" not in verdicts
 
 
 class TestSweepCommand:
