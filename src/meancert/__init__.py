@@ -18,6 +18,7 @@ from .errors import (
     MeanCertError,
     RequiresOrdered,
     Singular,
+    TrialFailed,
     WeightOrder,
 )
 from .linalg import (

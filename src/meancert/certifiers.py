@@ -34,6 +34,7 @@ from .linalg import (
     default_loewner_tol,
     hs_norm,
     loewner_leq,
+    order_verdict,
 )
 from .means import ScalarPair, check_weight
 
@@ -397,11 +398,14 @@ def spread_hypothesis_verdicts(
 ) -> dict[str, OrderVerdict]:
     """The four order checks of the hypothesis ``0 < mI <= A <= B <= MI``."""
     n = a.dim
-    zero = HermitianMatrix(np.zeros((n, n)))
     m_eye = HermitianMatrix(bounds.m * np.eye(n))
     big_eye = HermitianMatrix(bounds.M * np.eye(n))
+    zero_tol = tol
+    if zero_tol is None:
+        zero_tol = default_loewner_tol(HermitianMatrix(np.zeros((n, n))), m_eye)
     return {
-        "positive_lower_bound": loewner_leq(zero, m_eye, tol),
+        # the smallest eigenvalue of m I - 0 is m: no eigensolve needed
+        "positive_lower_bound": order_verdict(bounds.m, zero_tol),
         "lower_bound_leq_first": loewner_leq(m_eye, a, tol),
         "first_leq_second": loewner_leq(a, b, tol),
         "second_leq_upper_bound": loewner_leq(b, big_eye, tol),

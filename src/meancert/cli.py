@@ -1,7 +1,8 @@
 """Command-line driver: verify / sweep / probe.
 
 Exit codes: 0 all certified, 1 at least one certified violation, 2 invalid
-input (bad flags, config, grid, or probe name).
+input (bad flags, config, grid, or probe name), 3 a trial failed numerically
+(a typed error such as ``IllConditioned``; no report is written).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import sys
 
 from .config import PROBE_NAMES, load_config, parse_kv_text
-from .errors import ConfigError
+from .errors import ConfigError, TrialFailed
 from . import runner
 
 
@@ -187,6 +188,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TrialFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -50,3 +50,12 @@ class ConstructionFailure(MeanCertError):
 
 class ConfigError(MeanCertError):
     """Invalid run configuration."""
+
+
+class TrialFailed(MeanCertError):
+    """A typed numerical failure inside one trial, re-raised with the trial's
+    label (``id:trial``, or the sweep cell and trial) in its message.
+
+    Built from the message alone so that it pickles across the process pool;
+    the original error is its ``__cause__`` in the process that raised it.
+    """

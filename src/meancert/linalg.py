@@ -251,8 +251,13 @@ def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float | None = None
     if tol is None:
         tol = default_loewner_tol(a, b)
     diff = b.mat - a.mat
-    margin = float(np.linalg.eigvalsh(diff)[0])
-    return OrderVerdict(holds=margin >= -tol, margin=margin, tol_used=float(tol))
+    return order_verdict(float(np.linalg.eigvalsh(diff)[0]), tol)
+
+
+def order_verdict(margin: float, tol: float) -> OrderVerdict:
+    """The verdict rule of :func:`loewner_leq` for a margin already known,
+    such as ``m`` for ``0 <= m I``: it holds iff ``margin >= -tol``."""
+    return OrderVerdict(holds=margin >= -tol, margin=float(margin), tol_used=float(tol))
 
 
 def default_loewner_tol(a: HermitianMatrix, b: HermitianMatrix) -> float:

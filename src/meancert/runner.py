@@ -4,7 +4,13 @@ Each (certifier, trial) pair is an independent task whose randomness derives
 only from ``(master_seed, global_trial_index)``, where the global index is
 ``canonical_rank * trials + local_index``.  Records are therefore identical
 no matter how trials are scheduled; the writers sort before serializing so
-output files are byte-identical across runs and worker counts.
+output files are byte-identical across runs and worker counts.  Runs hold
+BLAS to one thread (:mod:`meancert.blas`), in this process and in each pool
+worker, so the bits do not depend on the BLAS thread count either.
+
+A typed :class:`~meancert.errors.MeanCertError` raised inside one trial
+escapes as :class:`~meancert.errors.TrialFailed`, whose message names the
+trial.
 """
 
 from __future__ import annotations
@@ -15,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import certifiers
+from . import blas, certifiers
 from .certifiers import BoundsHypothesis, CertificateReport
 from .config import CANONICAL_IDS, RunConfig, config_echo
-from .errors import ConfigError
+from .errors import ConfigError, MeanCertError, TrialFailed
 from .means import ScalarPair
 from .sampling import (
     ParamRules,
@@ -270,24 +276,38 @@ def run_trial(cfg: RunConfig, inequality_id: str, local_index: int) -> TrialReco
     )
 
 
+def _failed(label: str, exc: MeanCertError) -> TrialFailed:
+    return TrialFailed(f"trial {label} failed: {type(exc).__name__}: {exc}")
+
+
 def _run_task(task) -> TrialRecord:
     cfg, ineq, idx = task
-    return run_trial(cfg, ineq, idx)
+    try:
+        return run_trial(cfg, ineq, idx)
+    except MeanCertError as exc:
+        raise _failed(f"{ineq}:{idx}", exc) from exc
 
 
 def run_verify(cfg: RunConfig) -> tuple[list[TrialRecord], dict]:
     """Run every selected certifier over its instance family; return records
-    sorted canonically plus per-inequality summaries."""
+    sorted canonically plus per-inequality summaries.
+
+    Raises :class:`TrialFailed` for the first failed trial in selection
+    order, then trial order, whatever the worker count.
+    """
     tasks = [
         (cfg, ineq, idx)
         for ineq in cfg.inequality_selection
         for idx in range(cfg.trials_per_inequality)
     ]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_run_task, tasks, chunksize=64))
-    else:
-        records = [_run_task(t) for t in tasks]
+    with blas.one_thread():
+        if cfg.workers > 1:
+            with ProcessPoolExecutor(
+                max_workers=cfg.workers, initializer=blas.pin_one_thread
+            ) as pool:
+                records = list(pool.map(_run_task, tasks, chunksize=64))
+        else:
+            records = [_run_task(t) for t in tasks]
     records.sort(key=lambda r: (CANONICAL_IDS.index(r.inequality_id), r.trial_index))
     return records, summarize(records)
 
@@ -438,33 +458,38 @@ def run_sweep(cfg: RunConfig, grid: dict, select: str) -> tuple[list[TrialRecord
     records: list[TrialRecord] = []
     skipped = 0
     kept_rank = 0
-    for v, tau, lam, dim in cells:
-        if not _sweep_constraints_ok(select, v, tau, lam):
-            skipped += 1
-            continue
-        for t in range(cfg.trials_per_inequality):
-            rng = SeedPath(cfg.master_seed, kept_rank * cfg.trials_per_inequality + t).rng()
-            cap = cfg.cond_caps[t % len(cfg.cond_caps)]
-            report = _sweep_report(select, rng, dim, cap, v, tau, lam, cfg.tolerance_scale)
-            lower, upper = primary_margins(report)
-            records.append(
-                TrialRecord(
-                    inequality_id=select,
-                    dim=dim,
-                    v=v,
-                    tau=tau,
-                    lam=lam,
-                    cond_cap=cap,
-                    trial_index=t,
-                    margin_lower=lower,
-                    margin_upper=upper,
-                    tol=report.tol_used,
-                    verdict=report.verdict,
-                    degenerate=report.degenerate,
-                    witness=report.witness,
+    with blas.one_thread():
+        for v, tau, lam, dim in cells:
+            if not _sweep_constraints_ok(select, v, tau, lam):
+                skipped += 1
+                continue
+            for t in range(cfg.trials_per_inequality):
+                rng = SeedPath(cfg.master_seed, kept_rank * cfg.trials_per_inequality + t).rng()
+                cap = cfg.cond_caps[t % len(cfg.cond_caps)]
+                try:
+                    report = _sweep_report(select, rng, dim, cap, v, tau, lam, cfg.tolerance_scale)
+                except MeanCertError as exc:
+                    cell = f"v={v!r} tau={tau!r} lambda={lam!r} dim={dim}"
+                    raise _failed(f"{select}[{cell}]:{t}", exc) from exc
+                lower, upper = primary_margins(report)
+                records.append(
+                    TrialRecord(
+                        inequality_id=select,
+                        dim=dim,
+                        v=v,
+                        tau=tau,
+                        lam=lam,
+                        cond_cap=cap,
+                        trial_index=t,
+                        margin_lower=lower,
+                        margin_upper=upper,
+                        tol=report.tol_used,
+                        verdict=report.verdict,
+                        degenerate=report.degenerate,
+                        witness=report.witness,
+                    )
                 )
-            )
-        kept_rank += 1
+            kept_rank += 1
     if kept_rank == 0:
         raise ConfigError("sweep grid is empty after constraint filtering")
     return records, skipped

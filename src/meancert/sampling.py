@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionFailure
-from .linalg import HermitianMatrix, SpdMatrix, loewner_leq
+from .linalg import HermitianMatrix, SpdMatrix, loewner_leq, order_verdict
 from .means import MeanParams, ScalarPair
 
 #: Interior guard applied to ordered-pair spectra so the hypothesis checks
@@ -126,7 +126,8 @@ def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, 
     norm below B's spectral gap over ``m`` is subtracted to form ``A``; the
     perturbation keeps a small definite floor so ``B - A`` stays positive
     semidefinite after rounding.  All four hypothesis checks are re-verified
-    with ``loewner_leq`` at tol 0 before returning, with up to 10 retries.
+    at tol 0 before returning (``0 <= m I`` in closed form, the other three
+    with ``loewner_leq``), with up to 10 retries.
 
     Raises
     ------
@@ -156,9 +157,8 @@ def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, 
             a = SpdMatrix(b.mat - (delta + delta.conj().T) / 2)
         eye_m = HermitianMatrix(m * np.eye(dim))
         eye_big = HermitianMatrix(M * np.eye(dim))
-        zero = HermitianMatrix(np.zeros((dim, dim)))
         checks = (
-            loewner_leq(zero, eye_m, 0.0),
+            order_verdict(m, 0.0),  # 0 <= m I: its margin is m
             loewner_leq(eye_m, a, 0.0),
             loewner_leq(a, b, 0.0),
             loewner_leq(b, eye_big, 0.0),

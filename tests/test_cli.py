@@ -186,6 +186,39 @@ class TestHighConditionCaps:
         assert len(verdicts) == 20 and "fail" not in verdicts
 
 
+class TestTrialFailure:
+    """A typed numerical error inside a trial exits 3 naming the trial, with
+    no traceback and no report; exit 1 stays reserved for a violation."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_cap_1e10_exits_three(self, tmp_path, capsys, workers):
+        out = tmp_path / "cap.json"
+        code = run_cli(
+            ["verify", "--select", "matrix_agh,matrix_gap_ratio,det_root_gap,hs_agh_chain,det_gap",
+             "--cond-caps", "1e10", "--trials", "60", "--dims", "4,8,32", "--seed", "3",
+             "--workers", workers, "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "trial matrix_agh:17 failed: IllConditioned" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_sweep_failure_names_cell_and_trial(self, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("v = 0.25\ntau = 0.5\nlambda = 1\ndim = 32\n")
+        config = tmp_path / "run.cfg"
+        config.write_text("cond_caps = 1e12\n")
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            ["sweep", "--grid", str(grid), "--config", str(config), "--select",
+             "matrix_gap_ratio", "--trials", "20", "--seed", "3", "--out", str(out)]
+        )
+        assert code == 3
+        assert "trial matrix_gap_ratio[v=0.25 tau=0.5 lambda=1.0 dim=32]:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def grid_file(self, tmp_path, text):
         path = tmp_path / "grid.cfg"
