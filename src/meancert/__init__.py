@@ -16,6 +16,7 @@ from .errors import (
     HypothesisViolated,
     IllConditioned,
     MeanCertError,
+    NotPositiveDefinite,
     RequiresOrdered,
     Singular,
     TrialFailed,
@@ -27,18 +28,14 @@ from .linalg import (
     OrderVerdict,
     SpdMatrix,
     complex_matrix,
-    conjugate,
     default_loewner_tol,
     det_hermitian,
-    determinant_spd,
     eig_hermitian,
-    general_inverse,
     hs_norm,
     inverse,
     loewner_leq,
     logdet_spd,
     matrix_power,
-    singular_values,
 )
 from .means import (
     MeanParams,
@@ -49,7 +46,6 @@ from .means import (
     mat_geo,
     mat_harm,
     normalized_gap,
-    power_mean,
     scalar_arith,
     scalar_geo,
     scalar_harm,

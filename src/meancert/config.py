@@ -10,34 +10,12 @@ command-line flags override both.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
+from .runner import CANONICAL_IDS
 
 ENV_PREFIX = "MEANCERT_"
-
-#: Canonical certifier order; ranks index the per-trial seed streams, so a
-#: certifier's instances do not depend on which others were selected.
-CANONICAL_IDS = (
-    "scalar_agh",
-    "matrix_agh",
-    "gap_ratio",
-    "half_weight_gap",
-    "inverse_convexity",
-    "one_sided_gap",
-    "matrix_gap_ratio",
-    "matrix_half_weight_gap",
-    "spread_gap_cap",
-    "hs_gap_ratio",
-    "hs_agh_chain",
-    "hs_half_weight_gap",
-    "det_power_order",
-    "minkowski_products",
-    "power_difference",
-    "det_root_gap",
-    "det_gap",
-    "det_half_weight_gap",
-)
 
 PROBE_NAMES = ("gap_ratio_limits", "gap_factor_sharpness")
 
@@ -151,12 +129,3 @@ def _convert(key: str, text: str):
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
-
-
-def config_echo(cfg: RunConfig) -> dict:
-    """JSON-ready mapping of all config fields (for report embedding)."""
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out

@@ -9,6 +9,10 @@ class DimensionMismatch(MeanCertError):
     """Operands have incompatible shapes."""
 
 
+class NotPositiveDefinite(MeanCertError, ValueError):
+    """A matrix fails the positive-definiteness gate of ``SpdMatrix``."""
+
+
 class ConvergenceFailure(MeanCertError):
     """Eigendecomposition did not meet its accuracy contract."""
 
@@ -42,6 +46,10 @@ class HypothesisViolated(MeanCertError):
         self.check_name = check_name
         self.margin = margin
         super().__init__(f"hypothesis check {check_name!r} failed (margin {margin:.3e})")
+
+    def __reduce__(self):
+        # rebuild from both arguments: ``args`` holds only the message
+        return type(self), (self.check_name, self.margin)
 
 
 class ConstructionFailure(MeanCertError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, IllConditioned, Singular
+from .errors import ConvergenceFailure, DimensionMismatch, IllConditioned, NotPositiveDefinite
 
 #: Unitarity defect allowance for eigenvector matrices: ||U U* - I||_F <= UNITARITY_TOL * n.
 UNITARITY_TOL = 1e-12
@@ -35,7 +35,8 @@ SPD_MIN_EIG_FACTOR = 1e-12
 #: Rate used by :func:`default_loewner_tol`.
 LOEWNER_TOL_RATE = 1e-9
 
-#: Pivot threshold for :func:`general_inverse`, relative to the pivot row's scale.
+#: Invertibility threshold of :func:`meancert.means.check_invertible`: the
+#: smallest singular value, relative to the largest (at least 1).
 PIVOT_THRESHOLD = 1e-14
 
 #: Condition-number cap for the SPD :func:`inverse`.
@@ -107,7 +108,7 @@ class SpdMatrix(HermitianMatrix):
         w = np.linalg.eigvalsh(self.mat)
         gate = SPD_MIN_EIG_FACTOR * float(np.linalg.norm(self.mat))
         if not w[0] > gate:
-            raise ValueError(
+            raise NotPositiveDefinite(
                 f"matrix is not positive definite: min eigenvalue {w[0]:.3e} "
                 f"does not exceed the gate {gate:.3e}"
             )
@@ -213,32 +214,6 @@ def inverse(p: SpdMatrix, cond_cap: float = DEFAULT_COND_CAP) -> SpdMatrix:
     return SpdMatrix(dec.apply(1.0 / w))
 
 
-def general_inverse(m) -> np.ndarray:
-    """Inverse of an arbitrary square matrix by partial-pivot elimination.
-
-    Raises
-    ------
-    Singular
-        If a pivot falls below ``PIVOT_THRESHOLD`` times the scale of its row.
-    """
-    a = _as_array(m)
-    n = a.shape[0]
-    row_scale = np.maximum(np.max(np.abs(a), axis=1), 1.0)
-    aug = np.hstack([a, np.eye(n, dtype=np.complex128)])
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(aug[k:, k])))
-        if np.abs(aug[piv, k]) <= PIVOT_THRESHOLD * row_scale[piv]:
-            raise Singular(f"pivot {np.abs(aug[piv, k]):.3e} below threshold in column {k}")
-        if piv != k:
-            aug[[k, piv]] = aug[[piv, k]]
-            row_scale[[k, piv]] = row_scale[[piv, k]]
-        aug[k] = aug[k] / aug[k, k]
-        col = aug[:, k].copy()
-        col[k] = 0.0
-        aug -= np.outer(col, aug[k])
-    return aug[:, n:]
-
-
 def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float | None = None) -> OrderVerdict:
     """Decide ``A <= B`` in the semidefinite order, reporting the margin.
 
@@ -268,18 +243,6 @@ def default_loewner_tol(a: HermitianMatrix, b: HermitianMatrix) -> float:
 def hs_norm(m) -> float:
     """Hilbert-Schmidt (Frobenius) norm: sqrt of the sum of squared moduli."""
     return float(np.linalg.norm(_as_array(m)))
-
-
-def singular_values(m) -> np.ndarray:
-    """Singular values of ``M``, non-increasing, via the spectrum of ``M* M``."""
-    a = _as_array(m)
-    gram = eig_hermitian(HermitianMatrix(a.conj().T @ a))
-    return np.sqrt(np.maximum(gram.eigenvalues, 0.0))
-
-
-def determinant_spd(p: SpdMatrix) -> float:
-    """Determinant of a positive definite matrix: the product of its eigenvalues."""
-    return float(np.prod(eig_hermitian(p).eigenvalues))
 
 
 def cholesky(m) -> np.ndarray:
@@ -315,15 +278,3 @@ def det_hermitian(h: HermitianMatrix) -> float:
         return 0.0
     sign = float(np.prod(np.sign(w)))
     return sign * float(np.exp(np.sum(np.log(np.abs(w)))))
-
-
-def conjugate(m: HermitianMatrix, c) -> HermitianMatrix:
-    """The *-conjugation ``C M C*``, re-symmetrized after rounding.
-
-    Preserves the semidefinite order and, for invertible ``C``, positive
-    definiteness.
-    """
-    cm = _as_array(c)
-    if cm.shape[0] != m.dim:
-        raise DimensionMismatch(f"dimension mismatch: {cm.shape[0]} vs {m.dim}")
-    return HermitianMatrix(cm @ m.mat @ cm.conj().T)

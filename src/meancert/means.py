@@ -78,15 +78,14 @@ class ScalarPair:
 class MeanParams:
     """Scalar parameters of the weighted-mean comparisons.
 
-    ``v`` and ``tau`` are weights, ``lam`` the power applied to the gap,
-    ``t`` an optional power-mean index.  Each consumer validates the subset
-    it needs; this carrier performs no cross-field checks.
+    ``v`` and ``tau`` are weights, ``lam`` the power applied to the gap.
+    Each consumer validates the subset it needs; this carrier performs no
+    cross-field checks.
     """
 
     v: float
     tau: float | None = None
     lam: float = 1.0
-    t: float | None = None
 
 
 def check_weight(v: float, lo: float = 0.0, hi: float = 1.0, open_interval: bool = False):
@@ -96,19 +95,6 @@ def check_weight(v: float, lo: float = 0.0, hi: float = 1.0, open_interval: bool
             raise ValueError(f"weight must lie in the open interval ({lo}, {hi}), got {v}")
     elif not (lo <= v <= hi):
         raise ValueError(f"weight must lie in [{lo}, {hi}], got {v}")
-
-
-def power_mean(t: float, v: float, pair: ScalarPair) -> float:
-    """Power mean ``(v a^t + (1 - v) b^t)^(1/t)``, with the ``t = 0`` limit.
-
-    Interpolates from the harmonic mean at ``t = -1`` through the geometric
-    mean at ``t = 0`` to the arithmetic mean at ``t = 1``; non-decreasing
-    in ``t``.
-    """
-    check_weight(v)
-    if t == 0:
-        return scalar_geo(v, pair)
-    return float((v * pair.a**t + (1 - v) * pair.b**t) ** (1.0 / t))
 
 
 def scalar_arith(v: float, pair: ScalarPair) -> float:

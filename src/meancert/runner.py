@@ -1,4 +1,11 @@
-"""Suite orchestration: sample instances, run certifiers, aggregate reports.
+"""Suite orchestration: one table of certifiers, run as seeded trials.
+
+:data:`CERTIFIERS` declares each certifier id once, in canonical order, as a
+:class:`Certifier`: its instance draw, its check, its CSV margin columns and
+recorded weights and, for sweepable ids, the sweep's operand draw and weight
+constraint.  Verify trials (:func:`run_trial`) and sweep trials
+(:func:`_sweep_report`) both check through the entry and record through
+:func:`_record`, so a new certifier is one new entry.
 
 Each (certifier, trial) pair is an independent task whose randomness derives
 only from ``(master_seed, global_trial_index)``, where the global index is
@@ -16,14 +23,15 @@ trial.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import blas, certifiers
 from .certifiers import BoundsHypothesis, CertificateReport
-from .config import CANONICAL_IDS, RunConfig, config_echo
 from .errors import ConfigError, MeanCertError, TrialFailed
 from .means import ScalarPair
 from .sampling import (
@@ -35,6 +43,9 @@ from .sampling import (
     random_spd,
     sample_params,
 )
+
+if TYPE_CHECKING:  # config imports this module for the certifier ids
+    from .config import RunConfig
 
 REPORT_SCHEMA_VERSION = "1.0"
 
@@ -55,13 +66,11 @@ CSV_COLUMNS = (
 
 PROBE_CSV_COLUMNS = ("probe", "v", "tau", "lambda", "b", "side", "param", "value", "target", "gap")
 
-#: Certifier families that consume the sweep grid (v, tau, lambda, dim).
-SWEEPABLE_IDS = ("gap_ratio", "matrix_gap_ratio", "hs_gap_ratio", "det_root_gap")
-
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One certifier evaluation, flattened for reporting."""
+    """One certifier evaluation, flattened for reporting: the CSV columns in
+    order (``lam`` is ``lambda``), then the witness."""
 
     inequality_id: str
     dim: int
@@ -78,17 +87,30 @@ class TrialRecord:
     witness: dict | None
 
 
-def primary_margins(report: CertificateReport) -> tuple[float | None, float | None]:
-    """Map a report's named margins onto the (lower, upper) CSV columns."""
-    vals = [m for key, m in report.margins.items() if key != "equality_observed"]
-    lower = vals[0] if vals else None
-    upper = vals[1] if len(vals) > 1 else None
-    return lower, upper
+# ---------------------------------------------------------------------------
+# the certifier table
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# per-certifier instance families
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Certifier:
+    """One certifier id.  A trial draws ``(operands, params) = draw(rng, dim,
+    cap)`` and reports ``certifiers.<check>(*operands, **params, tol_scale)``.
+
+    The report's margin named ``lower`` fills the ``margin_lower`` column and
+    the one named ``upper`` (if any) ``margin_upper``; ``row(params)`` is the
+    recorded ``(v, tau, lambda)``.  A sweepable id draws a sweep trial's
+    operands with ``sweep_draw`` and takes its params from ``sweep_cell(v,
+    tau, lam)``, which is None for a cell outside the weight hypotheses.
+    """
+
+    check: str
+    draw: Callable
+    lower: str
+    upper: str | None = None
+    row: Callable = lambda params: (params.get("v"), params.get("tau"), params.get("lam"))
+    sweep_draw: Callable | None = None
+    sweep_cell: Callable | None = None
 
 
 def _spd_pair(rng, dim, cond_cap):
@@ -98,156 +120,169 @@ def _spd_pair(rng, dim, cond_cap):
     return random_spd(spec, rng), random_spd(spec, rng)
 
 
+def _spd_pair_x(rng, dim, cap):
+    a, b = _spd_pair(rng, dim, cap)
+    return a, b, random_invertible(dim, cap, rng)
+
+
 def _weight(rng, lo=0.0, hi=1.0, endpoints=False):
     if endpoints and rng.random() < 0.04:
         return float(lo if rng.random() < 0.5 else hi)
     return float(rng.uniform(lo, hi))
 
 
-def _trial_scalar_agh(rng, dim, cap, tol_scale):
+def _power(rng):
+    return 1.0 if rng.random() < 0.25 else float(rng.uniform(1.0, 3.0))
+
+
+def _then(operands, params):
+    """A draw of ``operands(rng, dim, cap)``, then of ``params(rng)``."""
+    return lambda rng, dim, cap: (operands(rng, dim, cap), params(rng))
+
+
+def _v(lo=0.0, hi=1.0, endpoints=False):
+    return lambda rng: {"v": _weight(rng, lo, hi, endpoints)}
+
+
+def _v_power(rng):
+    return {"v": _weight(rng, endpoints=True), "lam": _power(rng)}
+
+
+def _ordered(*names):
+    """The named params of a :func:`sample_params` draw with ``v < tau``."""
+    def draw(rng):
+        params, _ = sample_params(ParamRules(require_v_lt_tau=True), rng)
+        return {name: getattr(params, name) for name in names}
+    return draw
+
+
+def _scalar(*names, **rules):
+    """The scalar pair and the named params of one :func:`sample_params` draw."""
+    def draw(rng, dim, cap):
+        params, pair = sample_params(ParamRules(ratio_cap=cap, **rules), rng)
+        return (pair,), {name: getattr(params, name) for name in names}
+    return draw
+
+
+def _scalar_pair(rng, dim, cap):
+    _, pair = sample_params(ParamRules(ratio_cap=cap), rng)
+    return (pair,)
+
+
+def _cell(*names, strict=False):
+    """Sweep params ``names`` of a grid cell, or None unless ``v <= tau``
+    (``v < tau`` if ``strict``) and, where a power is taken, ``lam >= 1``."""
+    def cell(v, tau, lam):
+        ok = (v < tau if strict else v <= tau) and ("lam" not in names or lam >= 1)
+        return dict(zip(names, (v, tau, lam))) if ok else None
+    return cell
+
+
+def _draw_half_weight_gap(rng, dim, cap):
     params, pair = sample_params(ParamRules(ratio_cap=cap), rng)
-    rep = certifiers.check_scalar_agh(pair, params.v, tol_scale)
-    return rep, {"v": params.v}
+    return (pair,), {"v": params.v, "squared": rng.random() < 0.5}
 
 
-def _trial_matrix_agh(rng, dim, cap, tol_scale):
-    a, b = _spd_pair(rng, dim, cap)
-    v = _weight(rng, endpoints=True)
-    return certifiers.check_matrix_agh(a, b, v, tol_scale), {"v": v}
-
-
-def _trial_gap_ratio(rng, dim, cap, tol_scale):
-    params, pair = sample_params(ParamRules(require_v_lt_tau=True, ratio_cap=cap), rng)
-    rep = certifiers.check_gap_ratio(pair, params.v, params.tau, params.lam, tol_scale)
-    return rep, {"v": params.v, "tau": params.tau, "lam": params.lam}
-
-
-def _trial_half_weight_gap(rng, dim, cap, tol_scale):
-    params, pair = sample_params(ParamRules(ratio_cap=cap), rng)
-    squared = rng.random() < 0.5
-    rep = certifiers.check_half_weight_gap(pair, params.v, squared, tol_scale)
-    return rep, {"v": params.v, "lam": 2.0 if squared else 1.0}
-
-
-def _trial_inverse_convexity(rng, dim, cap, tol_scale):
-    params, pair = sample_params(ParamRules(require_ordered_pair=True, ratio_cap=cap), rng)
-    return certifiers.check_inverse_convexity_gap(pair, params.v, tol_scale), {"v": params.v}
-
-
-def _trial_one_sided_gap(rng, dim, cap, tol_scale):
-    params, pair = sample_params(ParamRules(require_ordered_pair=True, ratio_cap=cap), rng)
-    return certifiers.check_one_sided_gap(pair, params.v, tol_scale), {"v": params.v}
-
-
-def _trial_matrix_gap_ratio(rng, dim, cap, tol_scale):
-    a, b = _spd_pair(rng, dim, cap)
-    params, _ = sample_params(ParamRules(require_v_lt_tau=True), rng)
-    rep = certifiers.check_matrix_gap_ratio(a, b, params.v, params.tau, tol_scale)
-    return rep, {"v": params.v, "tau": params.tau}
-
-
-def _trial_matrix_half_weight_gap(rng, dim, cap, tol_scale):
-    a, b = _spd_pair(rng, dim, cap)
-    v = _weight(rng, 0.02, 0.5)
-    return certifiers.check_matrix_half_weight_gap(a, b, v, tol_scale), {"v": v, "tau": 0.5}
-
-
-def _trial_spread_gap_cap(rng, dim, cap, tol_scale):
+def _draw_spread_gap_cap(rng, dim, cap):
     m = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
     ratio = float(np.exp(rng.uniform(0.0, np.log(cap))))
     bounds = BoundsHypothesis(m, m * ratio)
     a, b = random_ordered_pair(dim, bounds.m, bounds.M, rng)
-    v = _weight(rng, endpoints=True)
-    return certifiers.check_spread_gap_cap(a, b, v, bounds, tol_scale), {"v": v}
+    return (a, b), {"v": _weight(rng, endpoints=True), "bounds": bounds}
 
 
-def _trial_hs_gap_ratio(rng, dim, cap, tol_scale):
-    a, b = _spd_pair(rng, dim, cap)
-    x = random_invertible(dim, cap, rng)
-    params, _ = sample_params(ParamRules(require_v_lt_tau=True), rng)
-    rep = certifiers.check_hs_gap_ratio(a, b, x, params.v, params.tau, tol_scale)
-    return rep, {"v": params.v, "tau": params.tau, "lam": 2.0}
-
-
-def _trial_hs_agh_chain(rng, dim, cap, tol_scale):
-    a, b = _spd_pair(rng, dim, cap)
-    x = random_invertible(dim, cap, rng)
-    v = _weight(rng, endpoints=True)
-    return certifiers.check_hs_agh_chain(a, b, x, v, tol_scale), {"v": v}
-
-
-def _trial_hs_half_weight_gap(rng, dim, cap, tol_scale):
-    a, b = _spd_pair(rng, dim, cap)
-    x = random_invertible(dim, cap, rng)
-    v = _weight(rng, 0.02, 0.5)
-    return certifiers.check_hs_half_weight_gap(a, b, x, v, tol_scale), {"v": v, "lam": 2.0}
-
-
-def _trial_det_power_order(rng, dim, cap, tol_scale):
-    a, b = _spd_pair(rng, dim, cap)
-    v = _weight(rng, endpoints=True)
-    lam = 1.0 if rng.random() < 0.25 else float(rng.uniform(1.0, 3.0))
-    return certifiers.check_det_power_order(a, b, v, lam, tol_scale), {"v": v, "lam": lam}
-
-
-def _trial_minkowski(rng, dim, cap, tol_scale):
+def _draw_minkowski(rng, dim, cap):
     a_vec = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=dim))
     if rng.random() < 0.05:
         b_vec = a_vec.copy()
     else:
         b_vec = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=dim))
-    return certifiers.check_minkowski_products(a_vec, b_vec, tol_scale), {}
+    return (a_vec, b_vec), {}
 
 
-def _trial_power_difference(rng, dim, cap, tol_scale):
+def _draw_power_difference(rng, dim, cap):
     b = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
     a = b * float(np.exp(rng.uniform(np.log(1.01), np.log(cap))))
-    lam = 1.0 if rng.random() < 0.25 else float(rng.uniform(1.0, 3.0))
-    return certifiers.check_power_difference(a, b, lam, tol_scale), {"lam": lam}
+    return (a, b), {"lam": _power(rng)}
 
 
-def _trial_det_root_gap(rng, dim, cap, tol_scale):
-    a, b = _spd_pair(rng, dim, cap)
-    params, _ = sample_params(ParamRules(require_v_lt_tau=True), rng)
-    rep = certifiers.check_det_root_gap(a, b, params.v, params.tau, params.lam, tol_scale)
-    return rep, {"v": params.v, "tau": params.tau, "lam": params.lam}
+AGH = ("geo_minus_harm", "arith_minus_geo")
+BOUNDS = ("above_lower", "below_upper")
+ORDERED_PAIR = _scalar("v", require_ordered_pair=True)
 
-
-def _trial_det_gap(rng, dim, cap, tol_scale):
-    a, b = _spd_pair(rng, dim, cap)
-    params, _ = sample_params(ParamRules(require_v_lt_tau=True), rng)
-    rep = certifiers.check_det_gap(a, b, params.v, params.tau, tol_scale)
-    return rep, {"v": params.v, "tau": params.tau}
-
-
-def _trial_det_half_weight_gap(rng, dim, cap, tol_scale):
-    a, b = _spd_pair(rng, dim, cap)
-    v = _weight(rng, 0.0, 0.5, endpoints=True)
-    return certifiers.check_det_half_weight_gap(a, b, v, tol_scale), {"v": v, "tau": 0.5}
-
-
-BUILDERS = {
-    "scalar_agh": _trial_scalar_agh,
-    "matrix_agh": _trial_matrix_agh,
-    "gap_ratio": _trial_gap_ratio,
-    "half_weight_gap": _trial_half_weight_gap,
-    "inverse_convexity": _trial_inverse_convexity,
-    "one_sided_gap": _trial_one_sided_gap,
-    "matrix_gap_ratio": _trial_matrix_gap_ratio,
-    "matrix_half_weight_gap": _trial_matrix_half_weight_gap,
-    "spread_gap_cap": _trial_spread_gap_cap,
-    "hs_gap_ratio": _trial_hs_gap_ratio,
-    "hs_agh_chain": _trial_hs_agh_chain,
-    "hs_half_weight_gap": _trial_hs_half_weight_gap,
-    "det_power_order": _trial_det_power_order,
-    "minkowski_products": _trial_minkowski,
-    "power_difference": _trial_power_difference,
-    "det_root_gap": _trial_det_root_gap,
-    "det_gap": _trial_det_gap,
-    "det_half_weight_gap": _trial_det_half_weight_gap,
+#: Every certifier in canonical order.  Ranks index the per-trial seed
+#: streams, so a certifier's instances do not depend on which others run.
+#: Two determinant bounds name their one margin after the bound.
+CERTIFIERS = {
+    "scalar_agh": Certifier("check_scalar_agh", _scalar("v"), *AGH),
+    "matrix_agh": Certifier("check_matrix_agh", _then(_spd_pair, _v(endpoints=True)), *AGH),
+    "gap_ratio": Certifier(
+        "check_gap_ratio", _scalar("v", "tau", "lam", require_v_lt_tau=True), *BOUNDS,
+        sweep_draw=_scalar_pair,
+        sweep_cell=_cell("v", "tau", "lam", strict=True),
+    ),
+    "half_weight_gap": Certifier(
+        "check_half_weight_gap", _draw_half_weight_gap, *BOUNDS,
+        row=lambda p: (p["v"], None, 2.0 if p["squared"] else 1.0),
+    ),
+    "inverse_convexity": Certifier("check_inverse_convexity_gap", ORDERED_PAIR, *BOUNDS),
+    "one_sided_gap": Certifier("check_one_sided_gap", ORDERED_PAIR, *BOUNDS),
+    "matrix_gap_ratio": Certifier(
+        "check_matrix_gap_ratio", _then(_spd_pair, _ordered("v", "tau")), *BOUNDS,
+        sweep_draw=_spd_pair, sweep_cell=_cell("v", "tau"),
+    ),
+    "matrix_half_weight_gap": Certifier(
+        "check_matrix_half_weight_gap", _then(_spd_pair, _v(0.02, 0.5)), *BOUNDS,
+        row=lambda p: (p["v"], 0.5, None),
+    ),
+    "spread_gap_cap": Certifier("check_spread_gap_cap", _draw_spread_gap_cap, "cap_minus_gap"),
+    # the Hilbert-Schmidt bounds compare squared norms: power 2
+    "hs_gap_ratio": Certifier(
+        "check_hs_gap_ratio", _then(_spd_pair_x, _ordered("v", "tau")), *BOUNDS,
+        row=lambda p: (p["v"], p["tau"], 2.0), sweep_draw=_spd_pair_x, sweep_cell=_cell("v", "tau"),
+    ),
+    "hs_agh_chain": Certifier(
+        "check_hs_agh_chain", _then(_spd_pair_x, _v(endpoints=True)), *reversed(AGH)
+    ),
+    "hs_half_weight_gap": Certifier(
+        "check_hs_half_weight_gap", _then(_spd_pair_x, _v(0.02, 0.5)), *BOUNDS,
+        row=lambda p: (p["v"], None, 2.0),
+    ),
+    "det_power_order": Certifier(
+        "check_det_power_order", _then(_spd_pair, _v_power), "det_power_gap"
+    ),
+    "minkowski_products": Certifier("check_minkowski_products", _draw_minkowski, "minkowski_gap"),
+    "power_difference": Certifier("check_power_difference", _draw_power_difference, "power_gap"),
+    "det_root_gap": Certifier(
+        "check_det_root_gap", _then(_spd_pair, _ordered("v", "tau", "lam")), "det_root_gap",
+        sweep_draw=_spd_pair, sweep_cell=_cell("v", "tau", "lam"),
+    ),
+    "det_gap": Certifier("check_det_gap", _then(_spd_pair, _ordered("v", "tau")), "det_gap"),
+    "det_half_weight_gap": Certifier(
+        "check_det_half_weight_gap", _then(_spd_pair, _v(0.0, 0.5, endpoints=True)), "det_gap",
+        row=lambda p: (p["v"], 0.5, None),
+    ),
 }
 
-assert tuple(BUILDERS) == CANONICAL_IDS
+CANONICAL_IDS = tuple(CERTIFIERS)
+
+#: Certifier families that consume the sweep grid (v, tau, lambda, dim).
+SWEEPABLE_IDS = tuple(i for i, entry in CERTIFIERS.items() if entry.sweep_draw is not None)
+
+
+def _check(entry: Certifier, operands: tuple, params: dict, tol_scale: float) -> CertificateReport:
+    # looked up per call, so a wrapper set on the certifiers module is seen
+    return getattr(certifiers, entry.check)(*operands, **params, tol_scale=tol_scale)
+
+
+def _record(ineq: str, dim: int, cap: float, trial_index: int, row: tuple, report) -> TrialRecord:
+    """The report row of one trial; ``row`` is its recorded (v, tau, lambda)."""
+    entry = CERTIFIERS[ineq]
+    return TrialRecord(
+        ineq, dim, *row, cap, trial_index,
+        report.margins.get(entry.lower), report.margins.get(entry.upper),
+        report.tol_used, report.verdict, report.degenerate, report.witness,
+    )
 
 
 def run_trial(cfg: RunConfig, inequality_id: str, local_index: int) -> TrialRecord:
@@ -257,23 +292,10 @@ def run_trial(cfg: RunConfig, inequality_id: str, local_index: int) -> TrialReco
     rng = SeedPath(cfg.master_seed, global_index).rng()
     dim = cfg.dims[local_index % len(cfg.dims)]
     cap = cfg.cond_caps[(local_index // len(cfg.dims)) % len(cfg.cond_caps)]
-    report, params = BUILDERS[inequality_id](rng, dim, cap, cfg.tolerance_scale)
-    lower, upper = primary_margins(report)
-    return TrialRecord(
-        inequality_id=inequality_id,
-        dim=dim,
-        v=params.get("v"),
-        tau=params.get("tau"),
-        lam=params.get("lam"),
-        cond_cap=cap,
-        trial_index=local_index,
-        margin_lower=lower,
-        margin_upper=upper,
-        tol=report.tol_used,
-        verdict=report.verdict,
-        degenerate=report.degenerate,
-        witness=report.witness,
-    )
+    entry = CERTIFIERS[inequality_id]
+    operands, params = entry.draw(rng, dim, cap)
+    report = _check(entry, operands, params, cfg.tolerance_scale)
+    return _record(inequality_id, dim, cap, local_index, entry.row(params), report)
 
 
 def _failed(label: str, exc: MeanCertError) -> TrialFailed:
@@ -339,6 +361,8 @@ def summarize(records: list[TrialRecord]) -> dict:
     return summaries
 
 
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -354,28 +378,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def config_echo(cfg: RunConfig) -> dict:
+    """JSON-ready mapping of all config fields (for report embedding)."""
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
 def records_to_csv(records: list[TrialRecord]) -> str:
+    names = [f.name for f in fields(TrialRecord)][: len(CSV_COLUMNS)]
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    r.inequality_id,
-                    r.dim,
-                    r.v,
-                    r.tau,
-                    r.lam,
-                    r.cond_cap,
-                    r.trial_index,
-                    r.margin_lower,
-                    r.margin_upper,
-                    r.tol,
-                    r.verdict,
-                    r.degenerate,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(getattr(r, name)) for name in names))
     return "\n".join(lines) + "\n"
 
 
@@ -387,19 +403,18 @@ def _witness_map(records: list[TrialRecord]) -> dict:
     }
 
 
+def _report_json(**payload) -> str:
+    return json.dumps({"spec_version": REPORT_SCHEMA_VERSION, **payload}, indent=2) + "\n"
+
+
 def witnesses_json(records: list[TrialRecord]) -> str:
-    payload = {"spec_version": REPORT_SCHEMA_VERSION, "witnesses": _witness_map(records)}
-    return json.dumps(payload, indent=2) + "\n"
+    return _report_json(witnesses=_witness_map(records))
 
 
 def suite_json(cfg: RunConfig, summaries: dict, records: list[TrialRecord]) -> str:
-    payload = {
-        "spec_version": REPORT_SCHEMA_VERSION,
-        "config": config_echo(cfg),
-        "summaries": summaries,
-        "witnesses": _witness_map(records),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return _report_json(
+        config=config_echo(cfg), summaries=summaries, witnesses=_witness_map(records)
+    )
 
 
 def summary_table(summaries: dict) -> str:
@@ -419,29 +434,9 @@ def summary_table(summaries: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_constraints_ok(select: str, v: float, tau: float, lam: float) -> bool:
-    if not (0 < v < 1 and 0 < tau < 1):
-        return False
-    if select == "gap_ratio":
-        return v < tau and lam >= 1
-    if select in ("matrix_gap_ratio", "hs_gap_ratio"):
-        return v <= tau
-    if select == "det_root_gap":
-        return v <= tau and lam >= 1
-    return False
-
-
 def _sweep_report(select, rng, dim, cap, v, tau, lam, tol_scale) -> CertificateReport:
-    if select == "gap_ratio":
-        _, pair = sample_params(ParamRules(ratio_cap=cap), rng)
-        return certifiers.check_gap_ratio(pair, v, tau, lam, tol_scale)
-    a, b = _spd_pair(rng, dim, cap)
-    if select == "matrix_gap_ratio":
-        return certifiers.check_matrix_gap_ratio(a, b, v, tau, tol_scale)
-    if select == "hs_gap_ratio":
-        x = random_invertible(dim, cap, rng)
-        return certifiers.check_hs_gap_ratio(a, b, x, v, tau, tol_scale)
-    return certifiers.check_det_root_gap(a, b, v, tau, lam, tol_scale)
+    entry = CERTIFIERS[select]
+    return _check(entry, entry.sweep_draw(rng, dim, cap), entry.sweep_cell(v, tau, lam), tol_scale)
 
 
 def run_sweep(cfg: RunConfig, grid: dict, select: str) -> tuple[list[TrialRecord], int]:
@@ -455,12 +450,13 @@ def run_sweep(cfg: RunConfig, grid: dict, select: str) -> tuple[list[TrialRecord
     if any(d < 1 or d > 64 for d in dims):
         raise ConfigError("grid dims must lie within [1, 64]")
     cells = [(v, tau, lam, dim) for v in vs for tau in taus for lam in lams for dim in dims]
+    sweep_cell = CERTIFIERS[select].sweep_cell
     records: list[TrialRecord] = []
     skipped = 0
     kept_rank = 0
     with blas.one_thread():
         for v, tau, lam, dim in cells:
-            if not _sweep_constraints_ok(select, v, tau, lam):
+            if not (0 < v < 1 and 0 < tau < 1) or sweep_cell(v, tau, lam) is None:
                 skipped += 1
                 continue
             for t in range(cfg.trials_per_inequality):
@@ -471,40 +467,20 @@ def run_sweep(cfg: RunConfig, grid: dict, select: str) -> tuple[list[TrialRecord
                 except MeanCertError as exc:
                     cell = f"v={v!r} tau={tau!r} lambda={lam!r} dim={dim}"
                     raise _failed(f"{select}[{cell}]:{t}", exc) from exc
-                lower, upper = primary_margins(report)
-                records.append(
-                    TrialRecord(
-                        inequality_id=select,
-                        dim=dim,
-                        v=v,
-                        tau=tau,
-                        lam=lam,
-                        cond_cap=cap,
-                        trial_index=t,
-                        margin_lower=lower,
-                        margin_upper=upper,
-                        tol=report.tol_used,
-                        verdict=report.verdict,
-                        degenerate=report.degenerate,
-                        witness=report.witness,
-                    )
-                )
+                records.append(_record(select, dim, cap, t, (v, tau, lam), report))
             kept_rank += 1
     if kept_rank == 0:
         raise ConfigError("sweep grid is empty after constraint filtering")
     return records, skipped
 
 
+
+
 def sweep_json(cfg: RunConfig, select: str, records: list[TrialRecord], skipped: int) -> str:
-    payload = {
-        "spec_version": REPORT_SCHEMA_VERSION,
-        "config": config_echo(cfg),
-        "selection": select,
-        "skipped_cells": skipped,
-        "summaries": summarize(records),
-        "witnesses": _witness_map(records),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return _report_json(
+        config=config_echo(cfg), selection=select, skipped_cells=skipped,
+        summaries=summarize(records), witnesses=_witness_map(records),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -531,22 +507,15 @@ def run_probe_gap_ratio_limits(
         upper = ((1 - v) / (1 - tau)) ** lam
         lower = (v / tau) ** lam
         for eps in sorted(eps_list, reverse=True):
-            r_small = gap_power_ratio(v, tau, lam, ScalarPair(b * eps, b))
-            r_large = gap_power_ratio(v, tau, lam, ScalarPair(b / eps, b))
-            rows.append(
-                {
-                    "probe": "gap_ratio_limits", "v": v, "tau": tau, "lambda": lam, "b": b,
-                    "side": "small_a", "param": eps, "value": r_small, "target": upper,
-                    "gap": abs(r_small - upper),
-                }
-            )
-            rows.append(
-                {
-                    "probe": "gap_ratio_limits", "v": v, "tau": tau, "lambda": lam, "b": b,
-                    "side": "large_a", "param": eps, "value": r_large, "target": lower,
-                    "gap": abs(r_large - lower),
-                }
-            )
+            for side, a, target in (("small_a", b * eps, upper), ("large_a", b / eps, lower)):
+                r = gap_power_ratio(v, tau, lam, ScalarPair(a, b))
+                rows.append(
+                    {
+                        "probe": "gap_ratio_limits", "v": v, "tau": tau, "lambda": lam, "b": b,
+                        "side": side, "param": eps, "value": r, "target": target,
+                        "gap": abs(r - target),
+                    }
+                )
     return rows, reports
 
 
@@ -582,11 +551,4 @@ def probe_rows_to_csv(rows: list[dict]) -> str:
 
 
 def probe_json(name: str, params: dict, rows: list[dict], holds: bool) -> str:
-    payload = {
-        "spec_version": REPORT_SCHEMA_VERSION,
-        "probe": name,
-        "params": params,
-        "holds": holds,
-        "rows": rows,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return _report_json(probe=name, params=params, holds=holds, rows=rows)

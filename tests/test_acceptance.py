@@ -5,6 +5,7 @@ the captured output of a failing run).
 """
 
 import contextlib
+import hashlib
 import json
 import time
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import scalar_oracles as oracle
+from test_cli import PINNED_NUMPY
 from meancert import (
     BoundsHypothesis,
     SpdMatrix,
@@ -26,6 +28,10 @@ from meancert import (
 )
 from meancert import certifiers, cli
 from meancert.sampling import SeedPath, random_hermitian, random_ordered_pair
+
+
+#: SHA-256 of the default verify CSV at seed 20260808 (under PINNED_NUMPY).
+DEFAULT_VERIFY_SHA256 = "acab881b499e7b35af9fce63a48bf86947af6b3fa3652ee81b994c2c5abf78df"
 
 
 @contextlib.contextmanager
@@ -58,6 +64,8 @@ def test_criterion_1_full_suite_pass(tmp_path):
             for margin_text in (cells[7], cells[8]):
                 if margin_text:
                     assert float(margin_text) >= -10.0 * tol, row
+        if np.__version__ == PINNED_NUMPY:
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_VERIFY_SHA256
 
 
 def test_criterion_2_scalar_oracle_equivalence():

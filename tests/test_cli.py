@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from meancert import cli
@@ -204,6 +206,19 @@ class TestTrialFailure:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_cap_1e12_failed_positivity_gate_exits_three(self, tmp_path, capsys):
+        # a sampled matrix under SpdMatrix's gate is a typed NotPositiveDefinite
+        out = tmp_path / "cap.csv"
+        code = run_cli(
+            ["verify", "--select", "det_gap", "--cond-caps", "1e12", "--trials", "40",
+             "--dims", "1,2,8,16,64", "--seed", "5", "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "trial det_gap:19 failed: NotPositiveDefinite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_sweep_failure_names_cell_and_trial(self, tmp_path, capsys):
         grid = tmp_path / "grid.cfg"
         grid.write_text("v = 0.25\ntau = 0.5\nlambda = 1\ndim = 32\n")
@@ -298,3 +313,46 @@ class TestProbeCommand:
 
     def test_unknown_command_exit_two(self):
         assert run_cli(["frobnicate"]) == 2
+
+
+#: numpy version the report pins below were taken under.  The matrix rows
+#: carry LAPACK's bits, so another numpy (or its bundled OpenBLAS) may move
+#: them without any change to meancert.
+PINNED_NUMPY = "2.4.6"
+
+#: SHA-256 of each sweepable id's JSON sweep over PIN_GRID at seed 7, 20
+#: trials, written to the default report path.
+SWEEP_PINS = {
+    "gap_ratio": "6f596bf1176d84b661b31d935de01aff18894354db408e4115e186f8d7f741ef",
+    "matrix_gap_ratio": "608a45028bd4cf07e1cdbdde903fdbbf97ace1f6fbe52f76d5231d04699a3b4b",
+    "hs_gap_ratio": "fd62d10a3fd01b0c82014b0c5baa576fa71072011317ae46cf35f9234c0ac536",
+    "det_root_gap": "5e169fed5de65c33cafe0f35b45508139099b44aa5c8679344791003d98a31ef",
+}
+PROBE_PINS = {
+    "gap_ratio_limits": "5f019b8e3cfb5da16e2854978db90c375f9b344a7774adb8462451a18fcf3250",
+    "gap_factor_sharpness": "06e551e69b536fca4d3bab4270fa37cab5c357ba53044fa91c4a0592d2e6eb87",
+}
+PIN_GRID = "v = 0.25, 0.6\ntau = 0.5, 0.75\nlambda = 1, 2\ndim = 1, 3, 8\n"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.skipif(
+    np.__version__ != PINNED_NUMPY, reason=f"report pins were taken under numpy {PINNED_NUMPY}"
+)
+def test_sweep_and_probe_reports_pinned(tmp_path, monkeypatch):
+    # the JSON report echoes the output path, so every report takes the default one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.cfg").write_text(PIN_GRID)
+    got = {}
+    for select in SWEEP_PINS:
+        args = ["sweep", "--grid", "grid.cfg", "--select", select, "--seed", "7",
+                "--trials", "20", "--format", "json"]
+        assert run_cli(args) == 0
+        got[select] = sha256(tmp_path / "sweep_report.json")
+    for name in PROBE_PINS:
+        assert run_cli(["probe", "--name", name]) == 0
+        got[name] = sha256(tmp_path / "probe_report.csv")
+    assert got == {**SWEEP_PINS, **PROBE_PINS}

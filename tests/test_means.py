@@ -16,7 +16,6 @@ from meancert import (
     mat_geo,
     mat_harm,
     normalized_gap,
-    power_mean,
     scalar_arith,
     scalar_geo,
     scalar_harm,
@@ -84,26 +83,6 @@ class TestScalarMeans:
         interior = (v > 0.01) & (v < 0.99) & (np.abs(a - b) > 1e-3 * scale)
         assert np.all(g[interior] < s[interior])
         assert np.all(h[interior] < g[interior])
-
-
-class TestPowerMean:
-    def test_equal_arguments(self):
-        assert power_mean(1.0, 0.5, ScalarPair(3.0, 3.0)) == pytest.approx(3.0)
-
-    def test_harmonic_case(self):
-        assert power_mean(-1.0, 0.5, ScalarPair(1.0, 2.0)) == pytest.approx(4.0 / 3.0)
-
-    def test_geometric_limit(self):
-        assert power_mean(0.0, 0.5, ScalarPair(1.0, 4.0)) == pytest.approx(2.0)
-
-    def test_monotone_in_index(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            pair = ScalarPair(*np.exp(rng.uniform(-3, 3, size=2)))
-            v = rng.uniform(0, 1)
-            ts = np.sort(rng.uniform(-4, 4, size=4))
-            vals = [power_mean(t, v, pair) for t in ts]
-            assert all(x <= y + 1e-10 * max(pair.a, pair.b) for x, y in zip(vals, vals[1:]))
 
 
 class TestGapHelpers:

@@ -7,16 +7,18 @@ worker, so a report is the same bytes whatever ``OPENBLAS_NUM_THREADS`` or
 
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from meancert import blas, cli, runner
 from meancert.config import load_config
-from meancert.errors import IllConditioned, TrialFailed
+from meancert.errors import HypothesisViolated, IllConditioned, TrialFailed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -82,15 +84,17 @@ def _config(**overrides):
 
 def test_verify_runs_trials_on_one_thread_and_restores(control, monkeypatch):
     seen = []
-    recorder = _recording(control, seen, runner.BUILDERS["matrix_agh"])
-    monkeypatch.setitem(runner.BUILDERS, "matrix_agh", recorder)
+    entry = runner.CERTIFIERS["matrix_agh"]
+    recorder = replace(entry, draw=_recording(control, seen, entry.draw))
+    monkeypatch.setitem(runner.CERTIFIERS, "matrix_agh", recorder)
     runner.run_verify(_config(inequality_selection=("matrix_agh",)))
     assert seen == [1, 1, 1]
     assert control.get_num_threads() == 2
 
 
 def test_verify_restores_thread_count_when_a_trial_fails(control, monkeypatch):
-    monkeypatch.setitem(runner.BUILDERS, "matrix_agh", _raising)
+    entry = replace(runner.CERTIFIERS["matrix_agh"], draw=_raising)
+    monkeypatch.setitem(runner.CERTIFIERS, "matrix_agh", entry)
     with pytest.raises(TrialFailed, match=r"matrix_agh:0"):
         runner.run_verify(_config(inequality_selection=("matrix_agh",)))
     assert control.get_num_threads() == 2
@@ -119,3 +123,10 @@ def test_pool_initializer_pins_a_fresh_worker(control):
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(1, mp_context=ctx, initializer=blas.pin_one_thread) as pool:
         assert pool.submit(_worker_threads, None).result(timeout=120) == 1
+
+
+def test_hypothesis_violated_pickles():
+    # errors cross the pool by pickling; this one takes two arguments
+    exc = pickle.loads(pickle.dumps(HypothesisViolated("first_leq_second", -1.5e-3)))
+    assert (exc.check_name, exc.margin) == ("first_leq_second", -1.5e-3)
+    assert str(exc) == "hypothesis check 'first_leq_second' failed (margin -1.500e-03)"
