@@ -38,7 +38,6 @@ from .linalg import (
     matrix_power,
 )
 from .means import (
-    MeanParams,
     ScalarPair,
     arith_harm_gap,
     gap_power_ratio,
@@ -79,7 +78,6 @@ from .certifiers import (
     spread_hypothesis_verdicts,
 )
 from .sampling import (
-    ParamRules,
     SeedPath,
     SpectrumSpec,
     random_hermitian,

@@ -127,6 +127,14 @@ def _check_lam(lam: float):
         raise ValueError(f"power must satisfy lam >= 1, got {lam}")
 
 
+def _check_weight_order(v: float, tau: float, strict: bool = False):
+    """Both weights in ``(0, 1)``, then ``v <= tau`` (``v < tau`` if ``strict``)."""
+    check_weight(v, open_interval=True)
+    check_weight(tau, open_interval=True)
+    if (v >= tau) if strict else (v > tau):
+        raise WeightOrder(f"requires v {'<' if strict else '<='} tau, got v={v}, tau={tau}")
+
+
 # ---------------------------------------------------------------------------
 # scalar chain and two-sided gap bounds
 # ---------------------------------------------------------------------------
@@ -166,10 +174,7 @@ def check_gap_ratio(
 
     Near-equal operands (the ratio's 0/0 set) give a degenerate report.
     """
-    check_weight(v, open_interval=True)
-    check_weight(tau, open_interval=True)
-    if v >= tau:
-        raise WeightOrder(f"requires v < tau, got v={v}, tau={tau}")
+    _check_weight_order(v, tau, strict=True)
     _check_lam(lam)
     lower = (v / tau) ** lam
     upper = ((1 - v) / (1 - tau)) ** lam
@@ -196,10 +201,7 @@ def probe_gap_ratio_limits(
     the gap to the respective bound and requiring both gap sequences to be
     non-increasing as ``eps`` decreases.
     """
-    check_weight(v, open_interval=True)
-    check_weight(tau, open_interval=True)
-    if v >= tau:
-        raise WeightOrder(f"requires v < tau, got v={v}, tau={tau}")
+    _check_weight_order(v, tau, strict=True)
     _check_lam(lam)
     if not (np.isfinite(b) and b > 0):
         raise ValueError(f"b must be a positive real, got {b}")
@@ -365,10 +367,7 @@ def check_matrix_gap_ratio(
 
     where ``G_w = A nabla_w B - A !_w B``.
     """
-    check_weight(v, open_interval=True)
-    check_weight(tau, open_interval=True)
-    if v > tau:
-        raise WeightOrder(f"requires v <= tau, got v={v}, tau={tau}")
+    _check_weight_order(v, tau)
     pair = means.spectral_pair(a, b)
     gap_v, gap_t = pair.gap(v), pair.gap(tau)
     tol = default_loewner_tol(a, b) * tol_scale
@@ -471,10 +470,7 @@ def check_hs_gap_ratio(
     tolerance is scaled by the ratio's cancellation factor (norm scale over
     ``|D(tau)|``), since that is the comparison's actual conditioning.
     """
-    check_weight(v, open_interval=True)
-    check_weight(tau, open_interval=True)
-    if v > tau:
-        raise WeightOrder(f"requires v <= tau, got v={v}, tau={tau}")
+    _check_weight_order(v, tau)
     pair = _one_sided(a, b, x)
     dnum, snum = _hs_gap_squared(pair, v)
     dden, sden = _hs_gap_squared(pair, tau)
@@ -616,10 +612,7 @@ def check_det_root_gap(
     ``G_tau`` (the two operands nearly equal) gives a degenerate report since
     its determinant root is then meaningless.
     """
-    check_weight(v, open_interval=True)
-    check_weight(tau, open_interval=True)
-    if v > tau:
-        raise WeightOrder(f"requires v <= tau, got v={v}, tau={tau}")
+    _check_weight_order(v, tau)
     _check_lam(lam)
     n = a.dim
     pair = means.spectral_pair(a, b)
@@ -660,10 +653,7 @@ def check_det_gap(
 
         ``det(A !_v B) + (v/tau)^n det(G_tau) <= det(A nabla_v B)``.
     """
-    check_weight(v, open_interval=True)
-    check_weight(tau, open_interval=True)
-    if v > tau:
-        raise WeightOrder(f"requires v <= tau, got v={v}, tau={tau}")
+    _check_weight_order(v, tau)
     return _det_gap("det_gap", a, b, v, tau, tol_scale)
 
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import PROBE_NAMES, load_config, parse_kv_text
+from .config import PROBE_NAMES, convert, load_config, parse_kv_text, parse_list
 from .errors import ConfigError, TrialFailed
 from . import runner
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    return parse_list(text, float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,14 +77,9 @@ def _base_overrides(args) -> dict:
         "workers": getattr(args, "workers", None),
         "tolerance_scale": getattr(args, "tol_scale", None),
     }
-    if getattr(args, "select", None) and args.command == "verify":
-        overrides["inequality_selection"] = tuple(
-            t.strip() for t in args.select.split(",") if t.strip()
-        )
-    if getattr(args, "dims", None):
-        overrides["dims"] = tuple(int(x) for x in args.dims.split(",") if x.strip())
-    if getattr(args, "cond_caps", None):
-        overrides["cond_caps"] = tuple(float(x) for x in args.cond_caps.split(",") if x.strip())
+    if args.command == "verify":  # sweep's --select names one certifier, not a selection
+        lists = {"inequality_selection": args.select, "dims": args.dims, "cond_caps": args.cond_caps}
+        overrides.update((key, convert(key, text)) for key, text in lists.items() if text)
     return overrides
 
 
@@ -122,7 +117,7 @@ def _parse_grid(path: str) -> dict:
         if key not in converters:
             raise ConfigError(f"unknown grid key {key!r} (expected v, tau, lambda, dim)")
         try:
-            grid[key] = tuple(converters[key](x) for x in text.split(",") if x.strip())
+            grid[key] = parse_list(text, converters[key])
         except ValueError as exc:
             raise ConfigError(f"bad grid value for {key!r}: {text!r}") from exc
         if not grid[key]:
@@ -136,7 +131,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(getattr(args, "config", None), _base_overrides(args))
     grid = _parse_grid(args.grid)
     records, skipped = runner.run_sweep(cfg, grid, args.select)
-    out_path = cfg.output_path or f"sweep_report.{cfg.output_format}"
+    out_path = cfg.resolved_output_path("sweep_report")
     if cfg.output_format == "csv":
         _write(out_path, runner.records_to_csv(records))
     else:
@@ -167,7 +162,7 @@ def cmd_probe(args) -> int:
     else:
         raise ConfigError(f"unknown probe {args.name!r}; expected one of {', '.join(PROBE_NAMES)}")
     holds = all(r.holds for r in reports)
-    out_path = cfg.output_path or f"probe_report.{cfg.output_format}"
+    out_path = cfg.resolved_output_path("probe_report")
     if cfg.output_format == "csv":
         _write(out_path, runner.probe_rows_to_csv(rows))
     else:

@@ -9,6 +9,7 @@ command-line flags override both.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -41,10 +42,10 @@ class RunConfig:
             raise ConfigError("trials_per_inequality must be at least 1")
         if not self.dims or any(d < 1 or d > 64 for d in self.dims):
             raise ConfigError("dims must be a nonempty list within [1, 64]")
-        if not self.cond_caps or any(c < 1 for c in self.cond_caps):
-            raise ConfigError("cond_caps must be a nonempty list of values >= 1")
-        if self.tolerance_scale <= 0:
-            raise ConfigError("tolerance_scale must be positive")
+        if not self.cond_caps or any(not (math.isfinite(c) and c >= 1) for c in self.cond_caps):
+            raise ConfigError("cond_caps must be a nonempty list of finite values >= 1")
+        if not (math.isfinite(self.tolerance_scale) and self.tolerance_scale > 0):
+            raise ConfigError("tolerance_scale must be finite and positive")
         unknown = [t for t in self.inequality_selection if t not in CANONICAL_IDS]
         if unknown:
             raise ConfigError(f"unknown inequality tags: {', '.join(unknown)}")
@@ -60,21 +61,22 @@ class RunConfig:
         return self.output_path or f"{stem}.{self.output_format}"
 
 
-_PARSERS = {
+def parse_list(text: str, item=str) -> tuple:
+    """Comma-separated ``text`` as a tuple of ``item(part)``; blank parts are dropped."""
+    return tuple(item(part.strip()) for part in text.split(",") if part.strip())
+
+
+PARSERS = {
     "master_seed": int,
     "trials_per_inequality": int,
-    "dims": lambda s: tuple(int(x) for x in _split(s)),
-    "cond_caps": lambda s: tuple(float(x) for x in _split(s)),
+    "dims": lambda s: parse_list(s, int),
+    "cond_caps": lambda s: parse_list(s, float),
     "tolerance_scale": float,
-    "inequality_selection": lambda s: tuple(_split(s)),
+    "inequality_selection": parse_list,
     "output_format": str,
     "output_path": str,
     "workers": int,
 }
-
-
-def _split(s: str) -> list[str]:
-    return [part.strip() for part in s.split(",") if part.strip()]
 
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict:
@@ -103,11 +105,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for key, text in raw.items():
-            values[key] = _convert(key, text)
-    for key in _PARSERS:
+            values[key] = convert(key, text)
+    for key in PARSERS:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            values[key] = _convert(key, env)
+            values[key] = convert(key, env)
     if overrides:
         for key, value in overrides.items():
             if value is not None:
@@ -119,8 +121,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     return cfg.validate()
 
 
-def _convert(key: str, text: str):
-    parser = _PARSERS.get(key)
+def convert(key: str, text: str):
+    """The value of config key ``key`` written as ``text``; ConfigError if malformed."""
+    parser = PARSERS.get(key)
     if parser is None:
         raise ConfigError(f"unknown config key {key!r}")
     try:

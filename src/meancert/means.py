@@ -74,20 +74,6 @@ class ScalarPair:
         return abs(self.a - self.b) <= rel_gap * max(self.a, self.b)
 
 
-@dataclass(frozen=True)
-class MeanParams:
-    """Scalar parameters of the weighted-mean comparisons.
-
-    ``v`` and ``tau`` are weights, ``lam`` the power applied to the gap.
-    Each consumer validates the subset it needs; this carrier performs no
-    cross-field checks.
-    """
-
-    v: float
-    tau: float | None = None
-    lam: float = 1.0
-
-
 def check_weight(v: float, lo: float = 0.0, hi: float = 1.0, open_interval: bool = False):
     """Raise ``ValueError`` unless ``v`` lies in ``[lo, hi]`` (or ``(lo, hi)``)."""
     if open_interval:

@@ -35,19 +35,19 @@ from .certifiers import BoundsHypothesis, CertificateReport
 from .errors import ConfigError, MeanCertError, TrialFailed
 from .means import ScalarPair
 from .sampling import (
-    ParamRules,
     SeedPath,
     SpectrumSpec,
     random_invertible,
     random_ordered_pair,
     random_spd,
     sample_params,
+    sample_power,
 )
 
 if TYPE_CHECKING:  # config imports this module for the certifier ids
     from .config import RunConfig
 
-REPORT_SCHEMA_VERSION = "1.0"
+REPORT_SCHEMA_VERSION = "1.1"
 
 CSV_COLUMNS = (
     "inequality_id",
@@ -131,10 +131,6 @@ def _weight(rng, lo=0.0, hi=1.0, endpoints=False):
     return float(rng.uniform(lo, hi))
 
 
-def _power(rng):
-    return 1.0 if rng.random() < 0.25 else float(rng.uniform(1.0, 3.0))
-
-
 def _then(operands, params):
     """A draw of ``operands(rng, dim, cap)``, then of ``params(rng)``."""
     return lambda rng, dim, cap: (operands(rng, dim, cap), params(rng))
@@ -145,27 +141,27 @@ def _v(lo=0.0, hi=1.0, endpoints=False):
 
 
 def _v_power(rng):
-    return {"v": _weight(rng, endpoints=True), "lam": _power(rng)}
+    return {"v": _weight(rng, endpoints=True), "lam": sample_power(rng)}
 
 
 def _ordered(*names):
     """The named params of a :func:`sample_params` draw with ``v < tau``."""
     def draw(rng):
-        params, _ = sample_params(ParamRules(require_v_lt_tau=True), rng)
-        return {name: getattr(params, name) for name in names}
+        params, _ = sample_params(rng, v_lt_tau=True)
+        return {name: params[name] for name in names}
     return draw
 
 
 def _scalar(*names, **rules):
     """The scalar pair and the named params of one :func:`sample_params` draw."""
     def draw(rng, dim, cap):
-        params, pair = sample_params(ParamRules(ratio_cap=cap, **rules), rng)
-        return (pair,), {name: getattr(params, name) for name in names}
+        params, pair = sample_params(rng, ratio_cap=cap, **rules)
+        return (pair,), {name: params[name] for name in names}
     return draw
 
 
 def _scalar_pair(rng, dim, cap):
-    _, pair = sample_params(ParamRules(ratio_cap=cap), rng)
+    _, pair = sample_params(rng, ratio_cap=cap)
     return (pair,)
 
 
@@ -179,8 +175,8 @@ def _cell(*names, strict=False):
 
 
 def _draw_half_weight_gap(rng, dim, cap):
-    params, pair = sample_params(ParamRules(ratio_cap=cap), rng)
-    return (pair,), {"v": params.v, "squared": rng.random() < 0.5}
+    params, pair = sample_params(rng, ratio_cap=cap)
+    return (pair,), {"v": params["v"], "squared": rng.random() < 0.5}
 
 
 def _draw_spread_gap_cap(rng, dim, cap):
@@ -203,12 +199,12 @@ def _draw_minkowski(rng, dim, cap):
 def _draw_power_difference(rng, dim, cap):
     b = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
     a = b * float(np.exp(rng.uniform(np.log(1.01), np.log(cap))))
-    return (a, b), {"lam": _power(rng)}
+    return (a, b), {"lam": sample_power(rng)}
 
 
 AGH = ("geo_minus_harm", "arith_minus_geo")
 BOUNDS = ("above_lower", "below_upper")
-ORDERED_PAIR = _scalar("v", require_ordered_pair=True)
+ORDERED_PAIR = _scalar("v", ordered_pair=True)
 
 #: Every certifier in canonical order.  Ranks index the per-trial seed
 #: streams, so a certifier's instances do not depend on which others run.
@@ -217,7 +213,7 @@ CERTIFIERS = {
     "scalar_agh": Certifier("check_scalar_agh", _scalar("v"), *AGH),
     "matrix_agh": Certifier("check_matrix_agh", _then(_spd_pair, _v(endpoints=True)), *AGH),
     "gap_ratio": Certifier(
-        "check_gap_ratio", _scalar("v", "tau", "lam", require_v_lt_tau=True), *BOUNDS,
+        "check_gap_ratio", _scalar("v", "tau", "lam", v_lt_tau=True), *BOUNDS,
         sweep_draw=_scalar_pair,
         sweep_cell=_cell("v", "tau", "lam", strict=True),
     ),
@@ -379,11 +375,13 @@ def _fmt(value) -> str:
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    """JSON-ready mapping of all config fields (for report embedding)."""
+    """JSON-ready mapping of the config fields (for report embedding), less
+    ``output_path``: a report's bytes must not depend on where it is written."""
     out = {}
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
+        if f.name != "output_path":
+            value = getattr(cfg, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certifiers import BoundsHypothesis, spread_hypothesis_verdicts
 from .errors import ConstructionFailure
-from .linalg import HermitianMatrix, SpdMatrix, loewner_leq, order_verdict
-from .means import MeanParams, ScalarPair
+from .linalg import HermitianMatrix, SpdMatrix
+from .means import ScalarPair
 
 #: Interior guard applied to ordered-pair spectra so the hypothesis checks
 #: pass at zero tolerance despite rounding (see random_ordered_pair).
@@ -24,7 +25,15 @@ ORDERED_SPECTRUM_GUARD = 1e-6
 #: collapses to A = B.
 ORDERED_COLLAPSE_GUARD = 1e-8
 
-DISTRIBUTIONS = ("log-uniform", "uniform", "clustered")
+DISTRIBUTIONS = ("log-uniform", "clustered")
+
+#: :func:`sample_params` draws weights in ``WEIGHT_INTERVAL`` (``v < tau`` at
+#: least ``WEIGHT_SEP`` apart) and a scalar pair with one operand log-uniform
+#: in ``SCALE_RANGE`` and the two at least ``MIN_REL_SEPARATION`` (relative) apart.
+WEIGHT_INTERVAL = (0.02, 0.98)
+WEIGHT_SEP = 0.05
+SCALE_RANGE = (0.1, 10.0)
+MIN_REL_SEPARATION = 0.1
 
 
 @dataclass(frozen=True)
@@ -87,8 +96,6 @@ def _draw_spectrum(spec: SpectrumSpec, rng: np.random.Generator) -> np.ndarray:
     lo, hi = spec.min_eig, spec.max_eig
     if lo == hi:
         return np.full(spec.dim, lo)
-    if spec.distribution == "uniform":
-        return rng.uniform(lo, hi, size=spec.dim)
     if spec.distribution == "log-uniform":
         return np.exp(rng.uniform(np.log(lo), np.log(hi), size=spec.dim))
     # clustered: a few log-uniform centers with small relative jitter
@@ -125,17 +132,18 @@ def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, 
     ``ORDERED_SPECTRUM_GUARD`` relative), then a positive perturbation with
     norm below B's spectral gap over ``m`` is subtracted to form ``A``; the
     perturbation keeps a small definite floor so ``B - A`` stays positive
-    semidefinite after rounding.  All four hypothesis checks are re-verified
-    at tol 0 before returning (``0 <= m I`` in closed form, the other three
-    with ``loewner_leq``), with up to 10 retries.
+    semidefinite after rounding.  The four checks of
+    :func:`~meancert.certifiers.spread_hypothesis_verdicts` are re-verified
+    at tol 0 before returning, with up to 10 retries.
 
     Raises
     ------
+    ValueError
+        Unless ``0 < m <= M`` (finite), as :class:`BoundsHypothesis` requires.
     ConstructionFailure
         If no draw passes the self-check within the retry budget.
     """
-    if not 0 < m <= M:
-        raise ValueError(f"need 0 < m <= M, got {m}, {M}")
+    bounds = BoundsHypothesis(m, M)
     rng = _rng(seed)
     if m == M:
         a = SpdMatrix(m * np.eye(dim))
@@ -155,15 +163,7 @@ def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, 
             v = random_unitary(dim, rng)
             delta = (v * d) @ v.conj().T
             a = SpdMatrix(b.mat - (delta + delta.conj().T) / 2)
-        eye_m = HermitianMatrix(m * np.eye(dim))
-        eye_big = HermitianMatrix(M * np.eye(dim))
-        checks = (
-            order_verdict(m, 0.0),  # 0 <= m I: its margin is m
-            loewner_leq(eye_m, a, 0.0),
-            loewner_leq(a, b, 0.0),
-            loewner_leq(b, eye_big, 0.0),
-        )
-        if all(c.holds for c in checks):
+        if all(c.holds for c in spread_hypothesis_verdicts(a, b, bounds, 0.0).values()):
             return a, b
     raise ConstructionFailure(
         f"could not build an ordered pair for dim={dim}, m={m}, M={M} in 10 attempts"
@@ -186,45 +186,34 @@ def random_invertible(dim: int, cond_cap: float, seed) -> np.ndarray:
     return (u * s) @ v.conj().T
 
 
-@dataclass(frozen=True)
-class ParamRules:
-    """Constraints a parameter draw must satisfy for one certifier family.
-
-    Weights come from ``weight_interval`` (capped by ``v_cap`` when set) and
-    keep at least ``weight_sep`` separation when ``require_v_lt_tau``.  The
-    scalar pair is drawn log-uniform around ``scale_range`` with relative
-    separation at least ``min_rel_separation`` and ratio at most
-    ``ratio_cap``; ``require_ordered_pair`` forces ``a < b``.
-    """
-
-    weight_interval: tuple[float, float] = (0.02, 0.98)
-    v_cap: float | None = None
-    require_v_lt_tau: bool = False
-    weight_sep: float = 0.05
-    require_ordered_pair: bool = False
-    min_rel_separation: float = 0.1
-    ratio_cap: float = 1e2
-    lam_range: tuple[float, float] = (1.0, 3.0)
-    scale_range: tuple[float, float] = (0.1, 10.0)
-
-
-def sample_params(rules: ParamRules, seed) -> tuple[MeanParams, ScalarPair]:
-    """Draw (weights, power, scalar pair) satisfying ``rules``."""
+def sample_power(seed) -> float:
+    """A power ``lam >= 1``: exactly 1 with probability 1/4, else uniform in ``[1, 3]``."""
     rng = _rng(seed)
-    lo, hi = rules.weight_interval
-    if rules.v_cap is not None:
-        hi = min(hi, rules.v_cap)
-    if rules.require_v_lt_tau:
-        v = rng.uniform(lo, hi - rules.weight_sep)
-        tau = rng.uniform(v + rules.weight_sep, rules.weight_interval[1])
+    return 1.0 if rng.random() < 0.25 else float(rng.uniform(1.0, 3.0))
+
+
+def sample_params(
+    seed, ratio_cap: float = 1e2, v_lt_tau: bool = False, ordered_pair: bool = False
+) -> tuple[dict, ScalarPair]:
+    """Draw weights, a power and a scalar pair: ``({"v", "tau", "lam"}, pair)``.
+
+    ``tau`` is drawn (above ``v``) only with ``v_lt_tau``, else None; ``lam``
+    is :func:`sample_power`'s.  The pair's ratio is at most ``ratio_cap``;
+    ``ordered_pair`` forces ``a < b``, else the operands swap with probability 1/2.
+    """
+    rng = _rng(seed)
+    lo, hi = WEIGHT_INTERVAL
+    if v_lt_tau:
+        v = rng.uniform(lo, hi - WEIGHT_SEP)
+        tau = float(rng.uniform(v + WEIGHT_SEP, hi))
     else:
         v = rng.uniform(lo, hi)
         tau = None
-    lam = 1.0 if rng.random() < 0.25 else float(rng.uniform(*rules.lam_range))
-    a = float(np.exp(rng.uniform(np.log(rules.scale_range[0]), np.log(rules.scale_range[1]))))
-    min_ratio = 1.0 / (1.0 - rules.min_rel_separation)
-    ratio = float(np.exp(rng.uniform(np.log(min_ratio), np.log(rules.ratio_cap))))
+    lam = sample_power(rng)
+    a = float(np.exp(rng.uniform(np.log(SCALE_RANGE[0]), np.log(SCALE_RANGE[1]))))
+    min_ratio = 1.0 / (1.0 - MIN_REL_SEPARATION)
+    ratio = float(np.exp(rng.uniform(np.log(min_ratio), np.log(ratio_cap))))
     b = a * ratio
-    if not rules.require_ordered_pair and rng.random() < 0.5:
+    if not ordered_pair and rng.random() < 0.5:
         a, b = b, a
-    return MeanParams(v=float(v), tau=None if tau is None else float(tau), lam=lam), ScalarPair(a, b)
+    return {"v": float(v), "tau": tau, "lam": lam}, ScalarPair(a, b)

@@ -110,6 +110,21 @@ class TestVerifyCommand:
     def test_unknown_selection_exit_two(self):
         assert run_cli(["verify", "--select", "not_a_tag", "--trials", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--dims a", "--dims 2.5", "--cond-caps x", "--tol-scale nan", "--tol-scale inf",
+            "--cond-caps nan", "--cond-caps inf",
+        ],
+    )
+    def test_bad_flag_value_exit_two(self, tmp_path, capsys, flags):
+        # malformed or non-finite values are input errors, as from a config file
+        out = tmp_path / "report.csv"
+        args = ["verify", "--select", "scalar_agh,matrix_agh", "--trials", "3", "--out", str(out)]
+        assert run_cli(args + flags.split()) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         args = [
             "verify", "--select", "matrix_agh,det_gap", "--trials", "6",
@@ -275,12 +290,14 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--grid", grid]) == 2
 
     def test_byte_identical_reruns(self, tmp_path):
+        # the same sweep written to two paths: the bytes must not echo the path
         grid = self.grid_file(tmp_path, "v = 0.2\ntau = 0.6\nlambda = 1, 2\ndim = 2, 3\n")
         args = ["sweep", "--grid", grid, "--select", "gap_ratio", "--trials", "4", "--seed", "7"]
-        out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        assert run_cli(args + ["--out", str(out1)]) == 0
-        assert run_cli(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        for fmt in ("csv", "json"):
+            out1, out2 = tmp_path / f"s1.{fmt}", tmp_path / f"s2.{fmt}"
+            assert run_cli(args + ["--format", fmt, "--out", str(out1)]) == 0
+            assert run_cli(args + ["--format", fmt, "--out", str(out2)]) == 0
+            assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestProbeCommand:
@@ -321,12 +338,12 @@ class TestProbeCommand:
 PINNED_NUMPY = "2.4.6"
 
 #: SHA-256 of each sweepable id's JSON sweep over PIN_GRID at seed 7, 20
-#: trials, written to the default report path.
+#: trials (report schema 1.1, which no longer echoes the output path).
 SWEEP_PINS = {
-    "gap_ratio": "6f596bf1176d84b661b31d935de01aff18894354db408e4115e186f8d7f741ef",
-    "matrix_gap_ratio": "608a45028bd4cf07e1cdbdde903fdbbf97ace1f6fbe52f76d5231d04699a3b4b",
-    "hs_gap_ratio": "fd62d10a3fd01b0c82014b0c5baa576fa71072011317ae46cf35f9234c0ac536",
-    "det_root_gap": "5e169fed5de65c33cafe0f35b45508139099b44aa5c8679344791003d98a31ef",
+    "gap_ratio": "b27a652a95d85a5d3fae7d01fca17dc16cc56379dc77dd2cb1a26d5576906244",
+    "matrix_gap_ratio": "f01ce9b9e6f0df3dc018ea4677896782fbc60cf06ef3aeba16074ff542c7cf0b",
+    "hs_gap_ratio": "35ab02670a95bd87af471e22d3e6fe1b3e25a5d1ab24ff7f8463285339dcc918",
+    "det_root_gap": "b191f3a3637167b2ecbe11dd6d6d1eb3354a2f4935848728182edcdee66e5f9f",
 }
 PROBE_PINS = {
     "gap_ratio_limits": "5f019b8e3cfb5da16e2854978db90c375f9b344a7774adb8462451a18fcf3250",
@@ -343,7 +360,7 @@ def sha256(path) -> str:
     np.__version__ != PINNED_NUMPY, reason=f"report pins were taken under numpy {PINNED_NUMPY}"
 )
 def test_sweep_and_probe_reports_pinned(tmp_path, monkeypatch):
-    # the JSON report echoes the output path, so every report takes the default one
+    # every report takes its default path inside tmp_path
     monkeypatch.chdir(tmp_path)
     (tmp_path / "grid.cfg").write_text(PIN_GRID)
     got = {}
