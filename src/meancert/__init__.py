@@ -17,6 +17,7 @@ from .errors import (
     IllConditioned,
     MeanCertError,
     NotPositiveDefinite,
+    PowerOverflow,
     RequiresOrdered,
     Singular,
     TrialFailed,
@@ -87,6 +88,7 @@ from .sampling import (
     random_unitary,
     sample_params,
 )
-from .config import CANONICAL_IDS, PROBE_NAMES, RunConfig, load_config
+from .runner import CANONICAL_IDS, PROBE_NAMES
+from .config import RunConfig, load_config
 
 __version__ = "0.1.0"

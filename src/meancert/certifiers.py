@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import means
-from .errors import RequiresOrdered, WeightOrder, HypothesisViolated
+from .errors import HypothesisViolated, PowerOverflow, RequiresOrdered, WeightOrder
 from .linalg import (
     HermitianMatrix,
     OrderVerdict,
@@ -135,6 +135,17 @@ def _check_weight_order(v: float, tau: float, strict: bool = False):
         raise WeightOrder(f"requires v {'<' if strict else '<='} tau, got v={v}, tau={tau}")
 
 
+def _gap_ratio_bounds(v: float, tau: float, lam: float) -> tuple[float, float]:
+    """The bounds ``((v/tau)^lam, ((1-v)/(1-tau))^lam)`` on the powered-gap
+    ratio, once ``0 < v < tau < 1`` and ``lam >= 1`` are checked."""
+    _check_weight_order(v, tau, strict=True)
+    _check_lam(lam)
+    try:
+        return (v / tau) ** lam, ((1 - v) / (1 - tau)) ** lam
+    except OverflowError as exc:
+        raise PowerOverflow(f"((1-v)/(1-tau)) ** {lam!r} exceeds double precision") from exc
+
+
 # ---------------------------------------------------------------------------
 # scalar chain and two-sided gap bounds
 # ---------------------------------------------------------------------------
@@ -174,10 +185,7 @@ def check_gap_ratio(
 
     Near-equal operands (the ratio's 0/0 set) give a degenerate report.
     """
-    _check_weight_order(v, tau, strict=True)
-    _check_lam(lam)
-    lower = (v / tau) ** lam
-    upper = ((1 - v) / (1 - tau)) ** lam
+    lower, upper = _gap_ratio_bounds(v, tau, lam)
     tol = TOL_RATE * tol_scale * (upper + 1.0)
     if pair.is_degenerate(NEAR_EQUAL_GUARD):
         return _degenerate("gap_ratio", tol)
@@ -190,19 +198,19 @@ def probe_gap_ratio_limits(
     v: float,
     tau: float,
     lam: float,
-    b: float = 1.0,
-    eps_list: tuple[float, ...] = (1e-2, 1e-4, 1e-6, 1e-8),
+    b: float,
+    eps_list: tuple[float, ...],
     tol_scale: float = 1.0,
-) -> CertificateReport:
+) -> tuple[list[dict], CertificateReport]:
     """Sharpness probe for the powered-gap ratio bounds.
 
     Evaluates the ratio at ``a = b * eps`` (approaching the upper bound) and
     ``a = b / eps`` (approaching the lower bound) for each ``eps``, reporting
     the gap to the respective bound and requiring both gap sequences to be
-    non-increasing as ``eps`` decreases.
+    non-increasing as ``eps`` decreases.  Returns one table row per
+    evaluation, largest ``eps`` first, and the report.
     """
-    _check_weight_order(v, tau, strict=True)
-    _check_lam(lam)
+    lower, upper = _gap_ratio_bounds(v, tau, lam)
     if not (np.isfinite(b) and b > 0):
         raise ValueError(f"b must be a positive real, got {b}")
     eps_sorted = tuple(sorted(eps_list, reverse=True))
@@ -211,35 +219,26 @@ def probe_gap_ratio_limits(
     for eps in eps_sorted:
         if not (1e-12 <= eps < 1):
             raise ValueError(f"eps must lie in [1e-12, 1), got {eps}")
-    lower = (v / tau) ** lam
-    upper = ((1 - v) / (1 - tau)) ** lam
-    small_gaps, large_gaps = [], []
+    rows = []
     margins: dict[str, float] = {}
     for eps in eps_sorted:
-        r_small = means.gap_power_ratio(v, tau, lam, ScalarPair(b * eps, b))
-        r_large = means.gap_power_ratio(v, tau, lam, ScalarPair(b / eps, b))
-        small_gaps.append(abs(r_small - upper))
-        large_gaps.append(abs(r_large - lower))
-        margins[f"small_a_gap[{eps!r}]"] = small_gaps[-1]
-        margins[f"large_a_gap[{eps!r}]"] = large_gaps[-1]
+        for side, a, target in (("small_a", b * eps, upper), ("large_a", b / eps, lower)):
+            ratio = means.gap_power_ratio(v, tau, lam, ScalarPair(a, b))
+            gap = abs(ratio - target)
+            rows.append({"v": v, "tau": tau, "lambda": lam, "b": b, "side": side,
+                         "param": eps, "value": ratio, "target": target, "gap": gap})
+            margins[f"{side}_gap[{eps!r}]"] = gap
     mono_tol = 1e-12 * tol_scale * (upper + 1.0)
-    margins["small_a_monotone"] = min(
-        (small_gaps[k] - small_gaps[k + 1] for k in range(len(small_gaps) - 1)), default=0.0
-    )
-    margins["large_a_monotone"] = min(
-        (large_gaps[k] - large_gaps[k + 1] for k in range(len(large_gaps) - 1)), default=0.0
-    )
-    gap_values = {k: m for k, m in margins.items() if k.endswith("]")}
-    mono = {k: m for k, m in margins.items() if k.endswith("monotone")}
+    mono = {}
+    for side in ("small_a", "large_a"):
+        g = [row["gap"] for row in rows if row["side"] == side]
+        mono[f"{side}_monotone"] = min((g[k] - g[k + 1] for k in range(len(g) - 1)), default=0.0)
     holds = all(m >= -mono_tol for m in mono.values())
-    witness = None
-    if not holds:
-        witness = {
-            "v": v, "tau": tau, "lam": lam, "b": b,
-            "eps_list": [float(e) for e in eps_sorted],
-        }
-    return CertificateReport(
-        "gap_ratio_limits", holds, {**gap_values, **mono}, mono_tol, False, witness
+    witness = None if holds else {
+        "v": v, "tau": tau, "lam": lam, "b": b, "eps_list": [float(e) for e in eps_sorted],
+    }
+    return rows, CertificateReport(
+        "gap_ratio_limits", holds, {**margins, **mono}, mono_tol, False, witness
     )
 
 
@@ -316,16 +315,17 @@ def check_one_sided_gap(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> C
 
 def probe_normalized_gap(
     v: float,
-    t_list: tuple[float, ...] = (1 + 1e-6, 1 + 1e-4, 1 + 1e-2, 2.0, 10.0),
+    t_list: tuple[float, ...],
     tol_scale: float = 1.0,
-) -> CertificateReport:
+) -> tuple[list[dict], CertificateReport]:
     """Sharpness probe for the ``v(1-v)`` factor in the one-argument bounds.
 
     The normalized gap ``g_v(t)`` (see :func:`meancert.means.normalized_gap`)
     satisfies ``v(1-v)/t <= g_v(t) <= v(1-v)`` for ``t > 1`` and tends to
     ``v(1-v)`` as ``t -> 1``, so the factor cannot be improved.  Reports the
     sandwich margins at each ``t`` and requires ``|g_v(t) - v(1-v)|`` to
-    shrink monotonically as ``t`` decreases toward 1.
+    shrink monotonically as ``t`` decreases toward 1.  Returns one table row
+    per ``t``, smallest first, and the report.
     """
     check_weight(v, open_interval=True)
     ts = tuple(sorted(t_list))
@@ -336,11 +336,14 @@ def probe_normalized_gap(
             raise ValueError(f"each t must exceed 1, got {t}")
     sharp = v * (1 - v)
     tol = 1e-12 * tol_scale * (sharp + 1.0)
+    rows = []
     margins: dict[str, float] = {}
     gaps = []
     for t in ts:
         g = means.normalized_gap(v, t)
         gaps.append(abs(g - sharp))
+        rows.append({"v": v, "side": "t_to_1", "param": t, "value": g, "target": sharp,
+                     "gap": gaps[-1]})
         margins[f"gap[{t!r}]"] = gaps[-1]
         margins[f"below_factor[{t!r}]"] = sharp - g
         margins[f"above_scaled[{t!r}]"] = g - sharp / t
@@ -350,7 +353,7 @@ def probe_normalized_gap(
     checked = {k: m for k, m in margins.items() if not k.startswith("gap[")}
     holds = all(m >= -tol for m in checked.values())
     witness = None if holds else {"v": v, "t_list": [float(t) for t in ts]}
-    return CertificateReport("normalized_gap_limit", holds, margins, tol, False, witness)
+    return rows, CertificateReport("normalized_gap_limit", holds, margins, tol, False, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line driver: verify / sweep / probe.
 
 Exit codes: 0 all certified, 1 at least one certified violation, 2 invalid
-input (bad flags, config, grid, or probe name), 3 a trial failed numerically
-(a typed error such as ``IllConditioned``; no report is written).
+input (bad flags, config, grid, or probe name or values), 3 a trial failed
+numerically (a typed error such as ``IllConditioned``; no report is written).
 """
 
 from __future__ import annotations
@@ -10,13 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import PROBE_NAMES, convert, load_config, parse_kv_text, parse_list
+from .config import GRID_PARSERS, convert, float_list, load_config, read_kv_file
 from .errors import ConfigError, TrialFailed
 from . import runner
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return parse_list(text, float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,8 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cond-caps", type=str, help="comma-separated condition caps")
     verify.add_argument("--tol-scale", type=float, help="tolerance scale factor")
     verify.add_argument("--workers", type=int, help="parallel worker processes")
-    verify.add_argument("--out", help="report path (default verify_report.<format>)")
-    verify.add_argument("--format", choices=("json", "csv"), help="report format")
     verify.set_defaults(func=cmd_verify)
 
     sweep = sub.add_parser("sweep", help="grid sweep of one ratio-family certifier")
@@ -49,22 +43,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--seed", type=int, help="master seed")
     sweep.add_argument("--trials", type=int, help="trials per grid cell")
-    sweep.add_argument("--out", help="report path (default sweep_report.<format>)")
-    sweep.add_argument("--format", choices=("json", "csv"), help="report format")
     sweep.set_defaults(func=cmd_sweep)
 
     probe = sub.add_parser("probe", help="sharpness probes (limit tables)")
-    probe.add_argument("--name", required=True, help=f"one of: {', '.join(PROBE_NAMES)}")
+    probe.add_argument("--name", required=True, choices=runner.PROBE_NAMES, help="probe to run")
     probe.add_argument("--v", type=float, help="weight v (gap_ratio_limits)")
     probe.add_argument("--tau", type=float, help="weight tau (gap_ratio_limits)")
-    probe.add_argument("--lams", type=_floats, help="comma-separated powers (gap_ratio_limits)")
+    probe.add_argument("--lams", type=float_list, help="comma-separated powers (gap_ratio_limits)")
     probe.add_argument("--b", type=float, help="fixed operand b (gap_ratio_limits)")
-    probe.add_argument("--eps", type=_floats, help="comma-separated eps values")
-    probe.add_argument("--v-values", type=_floats, help="weights (gap_factor_sharpness)")
-    probe.add_argument("--t-values", type=_floats, help="t values > 1 (gap_factor_sharpness)")
-    probe.add_argument("--out", help="report path (default probe_report.<format>)")
-    probe.add_argument("--format", choices=("json", "csv"), help="report format")
+    probe.add_argument("--eps", type=float_list, dest="eps_list", help="comma-separated eps values")
+    probe.add_argument("--v-values", type=float_list, help="weights (gap_factor_sharpness)")
+    probe.add_argument(
+        "--t-values", type=float_list, dest="t_list", help="t values > 1 (gap_factor_sharpness)"
+    )
     probe.set_defaults(func=cmd_probe)
+    for command, name in ((verify, "verify"), (sweep, "sweep"), (probe, "probe")):
+        command.add_argument("--out", help=f"report path (default {name}_report.<format>)")
+        command.add_argument("--format", choices=("json", "csv"), help="report format")
     return parser
 
 
@@ -105,31 +100,9 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _parse_grid(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = parse_kv_text(fh.read(), source=path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
-    grid = {}
-    converters = {"v": float, "tau": float, "lambda": float, "dim": int}
-    for key, text in raw.items():
-        if key not in converters:
-            raise ConfigError(f"unknown grid key {key!r} (expected v, tau, lambda, dim)")
-        try:
-            grid[key] = parse_list(text, converters[key])
-        except ValueError as exc:
-            raise ConfigError(f"bad grid value for {key!r}: {text!r}") from exc
-        if not grid[key]:
-            raise ConfigError(f"grid key {key!r} has no values")
-    if not grid:
-        raise ConfigError("grid file defines no axes")
-    return grid
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(getattr(args, "config", None), _base_overrides(args))
-    grid = _parse_grid(args.grid)
+    grid = read_kv_file(args.grid, GRID_PARSERS)
     records, skipped = runner.run_sweep(cfg, grid, args.select)
     out_path = cfg.resolved_output_path("sweep_report")
     if cfg.output_format == "csv":
@@ -144,30 +117,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_probe(args) -> int:
     cfg = load_config(None, {"output_format": args.format, "output_path": args.out})
-    if args.name == "gap_ratio_limits":
-        params = {
-            "v": args.v if args.v is not None else 0.25,
-            "tau": args.tau if args.tau is not None else 0.5,
-            "lams": args.lams or (1.0, 2.0),
-            "b": args.b if args.b is not None else 1.0,
-            "eps_list": args.eps or (1e-2, 1e-4, 1e-6, 1e-8),
-        }
-        rows, reports = runner.run_probe_gap_ratio_limits(**params)
-    elif args.name == "gap_factor_sharpness":
-        params = {
-            "v_values": args.v_values or ((args.v,) if args.v is not None else (0.1, 0.3, 0.5)),
-            "t_list": args.t_values or (1 + 1e-6, 1 + 1e-4, 1 + 1e-2, 2.0, 10.0),
-        }
-        rows, reports = runner.run_probe_gap_factor_sharpness(**params)
-    else:
-        raise ConfigError(f"unknown probe {args.name!r}; expected one of {', '.join(PROBE_NAMES)}")
+    if args.v_values is None and args.v is not None:
+        args.v_values = (args.v,)  # a single --v is a one-weight --v-values
+    defaults = runner.PROBES[args.name].defaults
+    params = {**defaults, **{k: v for k, v in vars(args).items() if k in defaults and v is not None}}
+    rows, reports = runner.run_probe(args.name, params)
     holds = all(r.holds for r in reports)
     out_path = cfg.resolved_output_path("probe_report")
     if cfg.output_format == "csv":
         _write(out_path, runner.probe_rows_to_csv(rows))
     else:
-        json_params = {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
-        _write(out_path, runner.probe_json(args.name, json_params, rows, holds))
+        _write(out_path, runner.probe_json(args.name, params, rows, holds))
     print(f"probe {args.name}: {'pass' if holds else 'FAIL'}; report written to {out_path}")
     return 0 if holds else 1
 

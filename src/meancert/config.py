@@ -4,7 +4,8 @@ Config files are flat ``key = value`` lines ('#' starts a comment); list
 values are comma-separated.  Every key mirrors a :class:`RunConfig` field.
 Environment variables override file values using the prefix ``MEANCERT_``
 plus the upper-cased key (e.g. ``MEANCERT_TRIALS_PER_INEQUALITY=50``);
-command-line flags override both.
+command-line flags override both.  Sweep grid files use the same syntax
+with the keys of :data:`GRID_PARSERS`; :func:`read_kv_file` reads both.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .errors import ConfigError
-from .runner import CANONICAL_IDS
+from .runner import CANONICAL_IDS, check_dims
 
 ENV_PREFIX = "MEANCERT_"
-
-PROBE_NAMES = ("gap_ratio_limits", "gap_factor_sharpness")
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class RunConfig:
             raise ConfigError("master_seed must be non-negative")
         if self.trials_per_inequality < 1:
             raise ConfigError("trials_per_inequality must be at least 1")
-        if not self.dims or any(d < 1 or d > 64 for d in self.dims):
-            raise ConfigError("dims must be a nonempty list within [1, 64]")
+        check_dims(self.dims)
         if not self.cond_caps or any(not (math.isfinite(c) and c >= 1) for c in self.cond_caps):
             raise ConfigError("cond_caps must be a nonempty list of finite values >= 1")
         if not (math.isfinite(self.tolerance_scale) and self.tolerance_scale > 0):
@@ -66,11 +65,14 @@ def parse_list(text: str, item=str) -> tuple:
     return tuple(item(part.strip()) for part in text.split(",") if part.strip())
 
 
+float_list = partial(parse_list, item=float)
+int_list = partial(parse_list, item=int)
+
 PARSERS = {
     "master_seed": int,
     "trials_per_inequality": int,
-    "dims": lambda s: parse_list(s, int),
-    "cond_caps": lambda s: parse_list(s, float),
+    "dims": int_list,
+    "cond_caps": float_list,
     "tolerance_scale": float,
     "inequality_selection": parse_list,
     "output_format": str,
@@ -78,42 +80,39 @@ PARSERS = {
     "workers": int,
 }
 
+#: The axes of a sweep grid file.
+GRID_PARSERS = {"v": float_list, "tau": float_list, "lambda": float_list, "dim": int_list}
 
-def parse_kv_text(text: str, source: str = "<config>") -> dict:
-    """Parse flat ``key = value`` text into a raw string mapping."""
+
+def read_kv_file(path: str, parsers: dict) -> dict:
+    """The flat ``key = value`` file ``path`` as a mapping of each key to its
+    value converted by ``parsers[key]``; ConfigError for an unreadable file,
+    a malformed line, a key not in ``parsers`` or a malformed value."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if not key:
-            raise ConfigError(f"{source}:{lineno}: empty key")
         raw[key] = value
-    return raw
+    return {key: convert(key, text, parsers) for key, text in raw.items()}
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Build a validated RunConfig from defaults, file, env, then overrides."""
-    values: dict = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = parse_kv_text(fh.read(), source=path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        for key, text in raw.items():
-            values[key] = convert(key, text)
+    values = {} if path is None else read_kv_file(path, PARSERS)
     for key in PARSERS:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
             values[key] = convert(key, env)
-    if overrides:
-        for key, value in overrides.items():
-            if value is not None:
-                values[key] = value
+    values.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     try:
         cfg = replace(RunConfig(), **values)
     except TypeError as exc:
@@ -121,14 +120,13 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     return cfg.validate()
 
 
-def convert(key: str, text: str):
-    """The value of config key ``key`` written as ``text``; ConfigError if malformed."""
-    parser = PARSERS.get(key)
+def convert(key: str, text: str, parsers: dict = PARSERS):
+    """The value of key ``key`` written as ``text``; ConfigError if ``key`` is
+    not in ``parsers`` or ``text`` is malformed."""
+    parser = parsers.get(key)
     if parser is None:
-        raise ConfigError(f"unknown config key {key!r}")
+        raise ConfigError(f"unknown key {key!r}; expected one of {', '.join(parsers)}")
     try:
         return parser(text)
-    except ConfigError:
-        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc

@@ -31,6 +31,10 @@ class DegenerateInput(MeanCertError):
     """Input degenerates the quantity being computed (e.g. a 0/0 ratio)."""
 
 
+class PowerOverflow(MeanCertError):
+    """A ``lam``-th power of a bound or a mean exceeds double precision."""
+
+
 class RequiresOrdered(MeanCertError):
     """Inputs must be strictly ordered (a < b) and are not."""
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateInput, DimensionMismatch, IllConditioned, Singular
+from .errors import DegenerateInput, DimensionMismatch, IllConditioned, PowerOverflow, Singular
 from .linalg import EigenDecomposition, SpdMatrix, cholesky, eig_hermitian, logdet_spd
 
 #: Relative gap below which a scalar pair counts as degenerate for ratios (0/0 form).
@@ -126,7 +126,10 @@ def gap_power_ratio(v: float, tau: float, lam: float, pair: ScalarPair) -> float
     Raises
     ------
     DegenerateInput
-        If the operands agree to within ``RATIO_DEGENERACY_GUARD`` (0/0 form).
+        If the operands agree to within ``RATIO_DEGENERACY_GUARD``, or the
+        powered gap at ``tau`` rounds to 0 (0/0 form).
+    PowerOverflow
+        If a powered mean exceeds double precision.
     """
     check_weight(v, open_interval=True)
     check_weight(tau, open_interval=True)
@@ -134,8 +137,13 @@ def gap_power_ratio(v: float, tau: float, lam: float, pair: ScalarPair) -> float
         raise ValueError(f"power must satisfy lam >= 1, got {lam}")
     if pair.is_degenerate():
         raise DegenerateInput(f"operands {pair.a!r}, {pair.b!r} are numerically equal")
-    num = scalar_arith(v, pair) ** lam - scalar_harm(v, pair) ** lam
-    den = scalar_arith(tau, pair) ** lam - scalar_harm(tau, pair) ** lam
+    try:
+        num = scalar_arith(v, pair) ** lam - scalar_harm(v, pair) ** lam
+        den = scalar_arith(tau, pair) ** lam - scalar_harm(tau, pair) ** lam
+    except OverflowError as exc:
+        raise PowerOverflow(f"a mean of {pair!r} ** {lam!r} exceeds double precision") from exc
+    if den == 0:
+        raise DegenerateInput(f"the powered gap at tau={tau!r}, lam={lam!r} rounds to 0")
     return float(num / den)
 
 

@@ -26,6 +26,7 @@ import json
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,7 +34,6 @@ import numpy as np
 from . import blas, certifiers
 from .certifiers import BoundsHypothesis, CertificateReport
 from .errors import ConfigError, MeanCertError, TrialFailed
-from .means import ScalarPair
 from .sampling import (
     SeedPath,
     SpectrumSpec,
@@ -63,6 +63,9 @@ CSV_COLUMNS = (
     "verdict",
     "degenerate",
 )
+
+#: The matrix dimensions a run or a sweep grid may ask for.
+DIM_RANGE = (1, 64)
 
 PROBE_CSV_COLUMNS = ("probe", "v", "tau", "lambda", "b", "side", "param", "value", "target", "gap")
 
@@ -266,6 +269,13 @@ CANONICAL_IDS = tuple(CERTIFIERS)
 SWEEPABLE_IDS = tuple(i for i, entry in CERTIFIERS.items() if entry.sweep_draw is not None)
 
 
+def check_dims(dims, name: str = "dims"):
+    """ConfigError unless ``dims`` is a nonempty list within :data:`DIM_RANGE`."""
+    lo, hi = DIM_RANGE
+    if not dims or any(not lo <= d <= hi for d in dims):
+        raise ConfigError(f"{name} must be a nonempty list within [{lo}, {hi}]")
+
+
 def _check(entry: Certifier, operands: tuple, params: dict, tol_scale: float) -> CertificateReport:
     # looked up per call, so a wrapper set on the certifiers module is seen
     return getattr(certifiers, entry.check)(*operands, **params, tol_scale=tol_scale)
@@ -357,8 +367,6 @@ def summarize(records: list[TrialRecord]) -> dict:
     return summaries
 
 
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -385,12 +393,16 @@ def config_echo(cfg: RunConfig) -> dict:
     return out
 
 
+def _csv(columns: tuple[str, ...], rows) -> str:
+    """CSV text: the header ``columns``, then one line per row of values."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def records_to_csv(records: list[TrialRecord]) -> str:
     names = [f.name for f in fields(TrialRecord)][: len(CSV_COLUMNS)]
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        lines.append(",".join(_fmt(getattr(r, name)) for name in names))
-    return "\n".join(lines) + "\n"
+    return _csv(CSV_COLUMNS, map(attrgetter(*names), records))
 
 
 def _witness_map(records: list[TrialRecord]) -> dict:
@@ -441,12 +453,15 @@ def run_sweep(cfg: RunConfig, grid: dict, select: str) -> tuple[list[TrialRecord
     """Run ``select`` over the cartesian grid; returns (records, skipped_cells)."""
     if select not in SWEEPABLE_IDS:
         raise ConfigError(f"sweep supports {', '.join(SWEEPABLE_IDS)}; got {select!r}")
+    if not grid or not all(len(values) for values in grid.values()):
+        raise ConfigError("a sweep grid needs at least one axis, and a value on each")
     vs = grid.get("v", (0.25,))
     taus = grid.get("tau", (0.5,))
     lams = grid.get("lambda", (1.0,))
     dims = grid.get("dim", (2,))
-    if any(d < 1 or d > 64 for d in dims):
-        raise ConfigError("grid dims must lie within [1, 64]")
+    if not all(np.isfinite(x) for x in (*vs, *taus, *lams)):
+        raise ConfigError("grid values must be finite")
+    check_dims(dims, "grid dims")
     cells = [(v, tau, lam, dim) for v in vs for tau in taus for lam in lams for dim in dims]
     sweep_cell = CERTIFIERS[select].sweep_cell
     records: list[TrialRecord] = []
@@ -472,8 +487,6 @@ def run_sweep(cfg: RunConfig, grid: dict, select: str) -> tuple[list[TrialRecord
     return records, skipped
 
 
-
-
 def sweep_json(cfg: RunConfig, select: str, records: list[TrialRecord], skipped: int) -> str:
     return _report_json(
         config=config_echo(cfg), selection=select, skipped_cells=skipped,
@@ -486,66 +499,57 @@ def sweep_json(cfg: RunConfig, select: str, records: list[TrialRecord], skipped:
 # ---------------------------------------------------------------------------
 
 
-def run_probe_gap_ratio_limits(
-    v: float = 0.25,
-    tau: float = 0.5,
-    lams: tuple[float, ...] = (1.0, 2.0),
-    b: float = 1.0,
-    eps_list: tuple[float, ...] = (1e-2, 1e-4, 1e-6, 1e-8),
-    tol_scale: float = 1.0,
+@dataclass(frozen=True)
+class Probe:
+    """One sharpness probe: ``probe(**params)`` returns ``(rows, report)`` and
+    runs once per value of the list param ``over``, passed as its argument
+    ``each``.  ``defaults`` names every param, in report order."""
+
+    probe: Callable
+    over: str
+    each: str
+    defaults: dict
+
+
+PROBES = {
+    "gap_ratio_limits": Probe(
+        certifiers.probe_gap_ratio_limits, "lams", "lam",
+        {"v": 0.25, "tau": 0.5, "lams": (1.0, 2.0), "b": 1.0,
+         "eps_list": (1e-2, 1e-4, 1e-6, 1e-8)},
+    ),
+    "gap_factor_sharpness": Probe(
+        certifiers.probe_normalized_gap, "v_values", "v",
+        {"v_values": (0.1, 0.3, 0.5), "t_list": (1 + 1e-6, 1 + 1e-4, 1 + 1e-2, 2.0, 10.0)},
+    ),
+}
+
+PROBE_NAMES = tuple(PROBES)
+
+
+def run_probe(
+    name: str, params: dict, tol_scale: float = 1.0
 ) -> tuple[list[dict], list[CertificateReport]]:
-    """Gap-vs-eps table for the powered-gap ratio limits, plus probe reports."""
-    from .means import gap_power_ratio
-
+    """The gap table of probe ``name`` and one report per value of its list
+    param; ``params`` overrides the probe's defaults.  A bad param value
+    raises :class:`ConfigError` naming the probe."""
+    entry = PROBES[name]
+    fixed = {**entry.defaults, **params}
+    values = fixed.pop(entry.over)
+    if not values:
+        raise ConfigError(f"probe {name}: {entry.over} must not be empty")
     rows, reports = [], []
-    for lam in lams:
-        reports.append(
-            certifiers.probe_gap_ratio_limits(v, tau, lam, b, eps_list, tol_scale)
-        )
-        upper = ((1 - v) / (1 - tau)) ** lam
-        lower = (v / tau) ** lam
-        for eps in sorted(eps_list, reverse=True):
-            for side, a, target in (("small_a", b * eps, upper), ("large_a", b / eps, lower)):
-                r = gap_power_ratio(v, tau, lam, ScalarPair(a, b))
-                rows.append(
-                    {
-                        "probe": "gap_ratio_limits", "v": v, "tau": tau, "lambda": lam, "b": b,
-                        "side": side, "param": eps, "value": r, "target": target,
-                        "gap": abs(r - target),
-                    }
-                )
-    return rows, reports
-
-
-def run_probe_gap_factor_sharpness(
-    v_values: tuple[float, ...] = (0.1, 0.3, 0.5),
-    t_list: tuple[float, ...] = (1 + 1e-6, 1 + 1e-4, 1 + 1e-2, 2.0, 10.0),
-    tol_scale: float = 1.0,
-) -> tuple[list[dict], list[CertificateReport]]:
-    """Gap-vs-t table for the normalized-gap factor limit, plus probe reports."""
-    from .means import normalized_gap
-
-    rows, reports = [], []
-    for v in v_values:
-        reports.append(certifiers.probe_normalized_gap(v, t_list, tol_scale))
-        sharp = v * (1 - v)
-        for t in sorted(t_list):
-            g = normalized_gap(v, t)
-            rows.append(
-                {
-                    "probe": "gap_factor_sharpness", "v": v, "tau": None, "lambda": None,
-                    "b": None, "side": "t_to_1", "param": t, "value": g, "target": sharp,
-                    "gap": abs(g - sharp),
-                }
-            )
+    for value in values:
+        try:
+            table, report = entry.probe(**{entry.each: value}, **fixed, tol_scale=tol_scale)
+        except (MeanCertError, ValueError) as exc:
+            raise ConfigError(f"probe {name}: {exc}") from exc
+        rows.extend({**dict.fromkeys(PROBE_CSV_COLUMNS), "probe": name, **row} for row in table)
+        reports.append(report)
     return rows, reports
 
 
 def probe_rows_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(PROBE_CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in PROBE_CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return _csv(PROBE_CSV_COLUMNS, map(itemgetter(*PROBE_CSV_COLUMNS), rows))
 
 
 def probe_json(name: str, params: dict, rows: list[dict], holds: bool) -> str:

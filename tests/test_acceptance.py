@@ -151,7 +151,7 @@ def test_criterion_3_gap_ratio_limit_sharpness():
         for lam in (1.0, 2.0):
             upper = ((1 - v) / (1 - tau)) ** lam
             lower = (v / tau) ** lam
-            rep = probe_gap_ratio_limits(v, tau, lam, b, eps_list)
+            _, rep = probe_gap_ratio_limits(v, tau, lam, b, eps_list)
             assert rep.holds
             assert rep.margins["small_a_gap[1e-08]"] <= 1e-4 * upper
             assert rep.margins["large_a_gap[1e-08]"] <= 1e-4 * lower
@@ -170,7 +170,7 @@ def test_criterion_4_normalized_gap_factor_sharpness():
         assert abs(normalized_gap(0.5, 1 + 1e-6) - 0.25) <= 1e-5
         t_list = (1 + 1e-6, 1 + 1e-4, 1 + 1e-2, 2.0, 10.0)
         for v in (0.1, 0.3, 0.5):
-            rep = probe_normalized_gap(v, t_list)
+            _, rep = probe_normalized_gap(v, t_list)
             assert rep.holds
             assert rep.margins["gap_monotone"] >= 0.0
             gaps = [rep.margins[f"gap[{t!r}]"] for t in sorted(t_list)]

@@ -127,7 +127,7 @@ class TestGapRatio:
 
 class TestGapRatioLimitsProbe:
     def test_limits_approached(self):
-        rep = probe_gap_ratio_limits(0.25, 0.5, 1.0, 1.0, (1e-2, 1e-4, 1e-6, 1e-8))
+        _, rep = probe_gap_ratio_limits(0.25, 0.5, 1.0, 1.0, (1e-2, 1e-4, 1e-6, 1e-8))
         assert rep.holds
         # at eps=1e-8 the ratio is within 1e-6 of the bound 1.5 (and 0.5)
         assert rep.margins["small_a_gap[1e-08]"] <= 1e-6 * 1.5
@@ -136,7 +136,7 @@ class TestGapRatioLimitsProbe:
         assert rep.margins["large_a_monotone"] >= 0.0
 
     def test_squared_limits(self):
-        rep = probe_gap_ratio_limits(0.25, 0.5, 2.0, 1.0, (1e-6,))
+        _, rep = probe_gap_ratio_limits(0.25, 0.5, 2.0, 1.0, (1e-6,))
         r_small = means.gap_power_ratio(0.25, 0.5, 2.0, ScalarPair(1e-6, 1.0))
         assert r_small == pytest.approx(2.25, rel=1e-4)
         assert rep.margins["small_a_gap[1e-06]"] == pytest.approx(abs(r_small - 2.25))
@@ -215,12 +215,12 @@ class TestOneSidedGap:
 
 class TestNormalizedGapProbe:
     def test_factor_limit(self):
-        rep = probe_normalized_gap(0.5, (1 + 1e-6, 1 + 1e-4, 2.0))
+        _, rep = probe_normalized_gap(0.5, (1 + 1e-6, 1 + 1e-4, 2.0))
         assert rep.holds
         assert rep.margins["gap[1.000001]"] <= 1e-5
 
     def test_sandwich_frozen(self):
-        rep = probe_normalized_gap(0.3, (2.0, 10.0))
+        _, rep = probe_normalized_gap(0.3, (2.0, 10.0))
         g2 = means.normalized_gap(0.3, 2.0)
         assert g2 == pytest.approx(0.21 / 1.3)
         assert rep.margins["below_factor[2.0]"] == pytest.approx(0.21 - g2)

@@ -248,6 +248,21 @@ class TestTrialFailure:
         assert "trial matrix_gap_ratio[v=0.25 tau=0.5 lambda=1.0 dim=32]:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_power_overflow_exits_three(self, tmp_path, capsys):
+        # ((1-v)/(1-tau))^lam is finite in exact arithmetic, not in double precision
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("v = 0.25\ntau = 0.5\nlambda = 1e300\ndim = 2\n")
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            ["sweep", "--grid", str(grid), "--select", "gap_ratio", "--trials", "2",
+             "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "trial gap_ratio[v=0.25 tau=0.5 lambda=1e+300 dim=2]:0 failed: PowerOverflow" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def grid_file(self, tmp_path, text):
@@ -289,6 +304,33 @@ class TestSweepCommand:
         grid = self.grid_file(tmp_path, "weights = 0.1\n")
         assert run_cli(["sweep", "--grid", grid]) == 2
 
+    @pytest.mark.parametrize(
+        "select, text",
+        [
+            ("gap_ratio", "lambda = inf\n"),
+            ("det_root_gap", "lambda = inf\n"),
+            ("gap_ratio", "lambda = 1, nan\n"),
+            ("det_root_gap", "v = 0.25, nan\n"),
+            ("det_root_gap", "v = 0.25\ntau =\n"),
+            ("det_root_gap", "# no axes\n"),
+            ("det_root_gap", "dim = 2, 65\n"),
+        ],
+    )
+    def test_bad_grid_exit_two(self, tmp_path, capsys, select, text):
+        # non-finite values, empty axes, no axes and dims out of range are input errors
+        grid = self.grid_file(tmp_path, text)
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--grid", grid, "--select", select, "--trials", "2", "--out", str(out)]
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_grid_rules_hold_for_dict_grids(self):
+        cfg = load_config(None, {"trials_per_inequality": 2})
+        for grid in ({}, {"v": ()}, {"lambda": (float("inf"),)}, {"dim": (0,)}):
+            with pytest.raises(ConfigError):
+                runner.run_sweep(cfg, grid, "gap_ratio")
+
     def test_byte_identical_reruns(self, tmp_path):
         # the same sweep written to two paths: the bytes must not echo the path
         grid = self.grid_file(tmp_path, "v = 0.2\ntau = 0.6\nlambda = 1, 2\ndim = 2, 3\n")
@@ -325,6 +367,31 @@ class TestProbeCommand:
     def test_unknown_probe_exit_two(self):
         assert run_cli(["probe", "--name", "bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("gap_ratio_limits", "--v 0.7"),
+            ("gap_ratio_limits", "--eps 2"),
+            ("gap_ratio_limits", "--lams 0.5"),
+            ("gap_ratio_limits", "--b -1"),
+            ("gap_ratio_limits", "--lams 1e300"),
+            ("gap_ratio_limits", "--lams ,"),
+            ("gap_ratio_limits", "--eps ,"),
+            ("gap_factor_sharpness", "--t-values 0.5"),
+            ("gap_factor_sharpness", "--v-values 1.5"),
+            ("gap_factor_sharpness", "--v-values ,"),
+            ("gap_factor_sharpness", "--t-values ,"),
+        ],
+    )
+    def test_bad_probe_value_exit_two(self, tmp_path, capsys, name, flags):
+        # exit 1 is reserved for a certified violation; an empty list is not the default
+        out = tmp_path / "probe.csv"
+        assert run_cli(["probe", "--name", name, "--out", str(out)] + flags.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: probe {name}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_usage_error_exit_two(self):
         assert run_cli(["probe"]) == 2
 
@@ -345,9 +412,28 @@ SWEEP_PINS = {
     "hs_gap_ratio": "35ab02670a95bd87af471e22d3e6fe1b3e25a5d1ab24ff7f8463285339dcc918",
     "det_root_gap": "b191f3a3637167b2ecbe11dd6d6d1eb3354a2f4935848728182edcdee66e5f9f",
 }
+#: SHA-256 of probe reports, keyed by the probe flags and the report format.
 PROBE_PINS = {
-    "gap_ratio_limits": "5f019b8e3cfb5da16e2854978db90c375f9b344a7774adb8462451a18fcf3250",
-    "gap_factor_sharpness": "06e551e69b536fca4d3bab4270fa37cab5c357ba53044fa91c4a0592d2e6eb87",
+    ("--name gap_ratio_limits", "csv"):
+        "5f019b8e3cfb5da16e2854978db90c375f9b344a7774adb8462451a18fcf3250",
+    ("--name gap_ratio_limits", "json"):
+        "e70aef48465cd2576e6cc7974645520326e458d069dcf45064f873d129df93d4",
+    ("--name gap_factor_sharpness", "csv"):
+        "06e551e69b536fca4d3bab4270fa37cab5c357ba53044fa91c4a0592d2e6eb87",
+    ("--name gap_factor_sharpness", "json"):
+        "2a944407f98c7cfc643385fff3b4a9bffbcdfdc413cbed60b123003c05ff71bf",
+    ("--name gap_ratio_limits --v 0.1 --tau 0.7 --lams 1,1.5,3 --b 2 --eps 1e-3,1e-9", "csv"):
+        "cab445dd909ccd00b203ea331cb518637d6f67ebd4f40c8d919daa8d606c5220",
+    ("--name gap_ratio_limits --v 0.1 --tau 0.7 --lams 1,1.5,3 --b 2 --eps 1e-3,1e-9", "json"):
+        "a4593183e8aa9aa3e82ff39f09cff261af4a4bd1df18137fcf45e8c0ffda0286",
+    ("--name gap_factor_sharpness --v 0.2", "csv"):
+        "ca4ab8720382b6500a06740595da0bfa2b4d070db89fc50b7b18e1c5b1278e5b",
+    ("--name gap_factor_sharpness --v 0.2", "json"):
+        "9e9639bab4b4cff6ed35856eaeb36fa945c7a5990902d14ec1af3cc47ef88aeb",
+    ("--name gap_factor_sharpness --v-values 0.5,0.05 --t-values 3,1.001", "csv"):
+        "6379a8dfa51a6977be67878df0d64190e53575664b40f5ac0594243f59aebd9f",
+    ("--name gap_factor_sharpness --v-values 0.5,0.05 --t-values 3,1.001", "json"):
+        "35a8f170cd3d1e5a768f3eac022241a60170affea9ac5d577115542f2b025f2c",
 }
 PIN_GRID = "v = 0.25, 0.6\ntau = 0.5, 0.75\nlambda = 1, 2\ndim = 1, 3, 8\n"
 
@@ -369,7 +455,7 @@ def test_sweep_and_probe_reports_pinned(tmp_path, monkeypatch):
                 "--trials", "20", "--format", "json"]
         assert run_cli(args) == 0
         got[select] = sha256(tmp_path / "sweep_report.json")
-    for name in PROBE_PINS:
-        assert run_cli(["probe", "--name", name]) == 0
-        got[name] = sha256(tmp_path / "probe_report.csv")
+    for flags, fmt in PROBE_PINS:
+        assert run_cli(["probe", *flags.split(), "--format", fmt]) == 0
+        got[flags, fmt] = sha256(tmp_path / f"probe_report.{fmt}")
     assert got == {**SWEEP_PINS, **PROBE_PINS}

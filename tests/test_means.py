@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from meancert import (
     DegenerateInput,
     DimensionMismatch,
+    PowerOverflow,
     ScalarPair,
     Singular,
     SpdMatrix,
@@ -118,6 +119,13 @@ class TestGapHelpers:
             gap_power_ratio(0.25, 0.5, 1.0, ScalarPair(1.0, 1.0))
         with pytest.raises(ValueError):
             gap_power_ratio(0.25, 0.5, 0.5, ScalarPair(1.0, 2.0))
+
+    def test_ratio_out_of_range_powers_are_typed(self):
+        # means above 1 overflow at a large power; means below 1 underflow to 0/0
+        with pytest.raises(PowerOverflow):
+            gap_power_ratio(0.45, 0.5, 3000.0, ScalarPair(2.0, 5.0))
+        with pytest.raises(DegenerateInput):
+            gap_power_ratio(0.45, 0.5, 3000.0, ScalarPair(0.5, 0.2))
 
 
 class TestMatrixMeans:
