@@ -81,7 +81,6 @@ from .certifiers import (
 from .sampling import (
     SeedPath,
     SpectrumSpec,
-    random_hermitian,
     random_invertible,
     random_ordered_pair,
     random_spd,

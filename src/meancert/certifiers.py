@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import means
-from .errors import HypothesisViolated, PowerOverflow, RequiresOrdered, WeightOrder
+from .errors import HypothesisViolated, PowerOverflow, WeightOrder
 from .linalg import (
+    TOL_RATE,
     HermitianMatrix,
     OrderVerdict,
     SpdMatrix,
@@ -36,10 +37,7 @@ from .linalg import (
     loewner_leq,
     order_verdict,
 )
-from .means import ScalarPair, check_weight
-
-#: Base rate for margin tolerances: tol = TOL_RATE * tol_scale * (quantity scale + 1).
-TOL_RATE = 1e-9
+from .means import ScalarPair
 
 #: Relative operand gap below which strict-inequality certifiers report degenerate.
 NEAR_EQUAL_GUARD = 1e-8
@@ -88,7 +86,9 @@ class BoundsHypothesis:
     M: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.m) and np.isfinite(self.M) and 0 < self.m <= self.M):
+        means.check_positive("m", self.m)
+        means.check_positive("M", self.M)
+        if not self.m <= self.M:
             raise ValueError(f"bounds must satisfy 0 < m <= M, got m={self.m}, M={self.M}")
 
 
@@ -122,15 +122,10 @@ def _degenerate(ineq_id: str, tol: float) -> CertificateReport:
     return CertificateReport(ineq_id, True, {}, float(tol), True, None)
 
 
-def _check_lam(lam: float):
-    if not (np.isfinite(lam) and lam >= 1):
-        raise ValueError(f"power must satisfy lam >= 1, got {lam}")
-
-
 def _check_weight_order(v: float, tau: float, strict: bool = False):
     """Both weights in ``(0, 1)``, then ``v <= tau`` (``v < tau`` if ``strict``)."""
-    check_weight(v, open_interval=True)
-    check_weight(tau, open_interval=True)
+    means.check_weight(v, open_interval=True)
+    means.check_weight(tau, open_interval=True)
     if (v >= tau) if strict else (v > tau):
         raise WeightOrder(f"requires v {'<' if strict else '<='} tau, got v={v}, tau={tau}")
 
@@ -139,7 +134,7 @@ def _gap_ratio_bounds(v: float, tau: float, lam: float) -> tuple[float, float]:
     """The bounds ``((v/tau)^lam, ((1-v)/(1-tau))^lam)`` on the powered-gap
     ratio, once ``0 < v < tau < 1`` and ``lam >= 1`` are checked."""
     _check_weight_order(v, tau, strict=True)
-    _check_lam(lam)
+    means.check_power(lam)
     try:
         return (v / tau) ** lam, ((1 - v) / (1 - tau)) ** lam
     except OverflowError as exc:
@@ -153,7 +148,7 @@ def _gap_ratio_bounds(v: float, tau: float, lam: float) -> tuple[float, float]:
 
 def check_scalar_agh(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> CertificateReport:
     """Scalar chain ``H_v <= G_v <= A_v`` (equality iff a = b)."""
-    check_weight(v)
+    means.check_weight(v)
     g = means.scalar_geo(v, pair)
     h = means.scalar_harm(v, pair)
     s = means.scalar_arith(v, pair)
@@ -164,7 +159,7 @@ def check_scalar_agh(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> Cert
 
 def check_matrix_agh(a: SpdMatrix, b: SpdMatrix, v: float, tol_scale: float = 1.0) -> CertificateReport:
     """Matrix chain ``A !_v B <= A #_v B <= A nabla_v B`` in the semidefinite order."""
-    check_weight(v)
+    means.check_weight(v)
     pair = means.spectral_pair(a, b)
     geo, harm, arith = pair.geo(v), pair.harm(v), pair.arith(v)
     tol = default_loewner_tol(a, b) * tol_scale
@@ -211,8 +206,7 @@ def probe_gap_ratio_limits(
     evaluation, largest ``eps`` first, and the report.
     """
     lower, upper = _gap_ratio_bounds(v, tau, lam)
-    if not (np.isfinite(b) and b > 0):
-        raise ValueError(f"b must be a positive real, got {b}")
+    means.check_positive("b", b)
     eps_sorted = tuple(sorted(eps_list, reverse=True))
     if not eps_sorted:
         raise ValueError("eps_list must not be empty")
@@ -252,7 +246,7 @@ def check_half_weight_gap(
     where ``A``, ``H`` are the equal-weight means.  With ``squared=True``
     the same holds for squared means with factors ``4 min^2`` and ``4 max^2``.
     """
-    check_weight(v, open_interval=True)
+    means.check_weight(v, open_interval=True)
     if squared:
         base = means.scalar_arith(0.5, pair) ** 2 - means.scalar_harm(0.5, pair) ** 2
         mid = means.scalar_arith(v, pair) ** 2 - means.scalar_harm(v, pair) ** 2
@@ -278,10 +272,9 @@ def check_inverse_convexity_gap(pair: ScalarPair, v: float, tol_scale: float = 1
 
     (the second derivative of ``1/x`` ranges over ``[2/b^3, 2/a^3]`` there).
     """
-    check_weight(v, open_interval=True)
+    means.check_weight(v, open_interval=True)
     a, b = pair.a, pair.b
-    if a >= b:
-        raise RequiresOrdered(f"requires a < b, got a={a}, b={b}")
+    means.check_ordered(a, b)
     tol = TOL_RATE * tol_scale * (1 / a + 1 / b + 1.0)
     if pair.is_degenerate(NEAR_EQUAL_GUARD):
         return _degenerate("inverse_convexity", tol)
@@ -299,10 +292,9 @@ def check_one_sided_gap(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> C
 
         ``v(1-v)(1 - a/b)^2 a <= A_v - H_v <= v(1-v)(1 - b/a)^2 b``.
     """
-    check_weight(v, open_interval=True)
+    means.check_weight(v, open_interval=True)
     a, b = pair.a, pair.b
-    if a >= b:
-        raise RequiresOrdered(f"requires a < b, got a={a}, b={b}")
+    means.check_ordered(a, b)
     tol = TOL_RATE * tol_scale * (a + b + 1.0)
     if pair.is_degenerate(NEAR_EQUAL_GUARD):
         return _degenerate("one_sided_gap", tol)
@@ -327,7 +319,7 @@ def probe_normalized_gap(
     shrink monotonically as ``t`` decreases toward 1.  Returns one table row
     per ``t``, smallest first, and the report.
     """
-    check_weight(v, open_interval=True)
+    means.check_weight(v, open_interval=True)
     ts = tuple(sorted(t_list))
     if not ts:
         raise ValueError("t_list must not be empty")
@@ -389,25 +381,21 @@ def check_matrix_half_weight_gap(
         ``2v (A nabla B - A ! B) <= A nabla_v B - A !_v B
           <= 2(1-v) (A nabla B - A ! B)``.
     """
-    if not 0 < v <= 0.5:
-        raise ValueError(f"weight must lie in (0, 1/2], got {v}")
+    means.check_half_weight(v)
     report = check_matrix_gap_ratio(a, b, v, 0.5, tol_scale)
     return dataclasses.replace(report, inequality_id="matrix_half_weight_gap")
 
 
 def spread_hypothesis_verdicts(
-    a: SpdMatrix, b: SpdMatrix, bounds: BoundsHypothesis, tol: float | None = None
+    a: SpdMatrix, b: SpdMatrix, bounds: BoundsHypothesis, tol: float
 ) -> dict[str, OrderVerdict]:
-    """The four order checks of the hypothesis ``0 < mI <= A <= B <= MI``."""
+    """The four order checks of the hypothesis ``0 < mI <= A <= B <= MI``, each at ``tol``."""
     n = a.dim
     m_eye = HermitianMatrix(bounds.m * np.eye(n))
     big_eye = HermitianMatrix(bounds.M * np.eye(n))
-    zero_tol = tol
-    if zero_tol is None:
-        zero_tol = default_loewner_tol(HermitianMatrix(np.zeros((n, n))), m_eye)
     return {
         # the smallest eigenvalue of m I - 0 is m: no eigensolve needed
-        "positive_lower_bound": order_verdict(bounds.m, zero_tol),
+        "positive_lower_bound": order_verdict(bounds.m, tol),
         "lower_bound_leq_first": loewner_leq(m_eye, a, tol),
         "first_leq_second": loewner_leq(a, b, tol),
         "second_leq_upper_bound": loewner_leq(b, big_eye, tol),
@@ -424,7 +412,7 @@ def check_spread_gap_cap(
     The four hypothesis checks run first and a failing one raises
     :class:`HypothesisViolated` naming it.
     """
-    check_weight(v)
+    means.check_weight(v)
     hyp_tol = default_loewner_tol(a, b) * tol_scale
     for name, verdict in spread_hypothesis_verdicts(a, b, bounds, hyp_tol).items():
         if not verdict.holds:
@@ -497,7 +485,7 @@ def check_hs_agh_chain(
         ``||v A X + (1-v) X B||_F^2 >= ||A^v X B^(1-v)||_F^2
           >= ||x_harm(A, B, X, v)||_F^2``.
     """
-    check_weight(v)
+    means.check_weight(v)
     pair = _one_sided(a, b, x)
     na = pair.hs_norm2(pair.arith(v))
     ng = pair.hs_norm2(pair.geo(v))
@@ -516,8 +504,7 @@ def check_hs_half_weight_gap(
 
     with ``D`` as in :func:`check_hs_gap_ratio`.
     """
-    if not 0 < v <= 0.5:
-        raise ValueError(f"weight must lie in (0, 1/2], got {v}")
+    means.check_half_weight(v)
     pair = _one_sided(a, b, x)
     d_v, s_v = _hs_gap_squared(pair, v)
     d_half, s_half = _hs_gap_squared(pair, 0.5)
@@ -553,8 +540,8 @@ def check_det_power_order(
     Computed in log-determinant space to survive ``lam``-th powers of large
     determinants.
     """
-    check_weight(v)
-    _check_lam(lam)
+    means.check_weight(v)
+    means.check_power(lam)
     ld_arith = means.logdet_arith(a, b, v)
     ld_harm = means.logdet_harm(a, b, v)
     margin = _stable_power_difference(ld_arith, ld_harm, lam)
@@ -570,34 +557,29 @@ def check_minkowski_products(a_vec, b_vec, tol_scale: float = 1.0) -> Certificat
     """Product inequality for positive vectors:
 
         ``(prod a_i)^(1/n) + (prod b_i)^(1/n) <= (prod (a_i + b_i))^(1/n)``.
-
-    The report flags observed equality (margin within tolerance) without
-    asserting when it must occur.
     """
     av = np.asarray(a_vec, dtype=float)
     bv = np.asarray(b_vec, dtype=float)
     if av.ndim != 1 or av.shape != bv.shape or av.size < 1:
         raise ValueError("expected two positive vectors of equal nonzero length")
-    if not (np.all(av > 0) and np.all(bv > 0)):
-        raise ValueError("vector entries must be strictly positive")
+    for entry in (*av.tolist(), *bv.tolist()):
+        means.check_positive("each vector entry", entry)
     ga = float(np.exp(np.mean(np.log(av))))
     gb = float(np.exp(np.mean(np.log(bv))))
     gs = float(np.exp(np.mean(np.log(av + bv))))
     margin = gs - ga - gb
     tol = TOL_RATE * tol_scale * (gs + ga + gb + 1.0)
-    margins = {"minkowski_gap": margin, "equality_observed": float(abs(margin) <= tol)}
-    holds = margin >= -tol
-    witness = None if holds else {"a_vec": _serialize(list(av)), "b_vec": _serialize(list(bv))}
-    return CertificateReport("minkowski_products", holds, margins, tol, False, witness)
+    return _finish(
+        "minkowski_products", {"minkowski_gap": margin}, tol, {"a_vec": list(av), "b_vec": list(bv)}
+    )
 
 
 def check_power_difference(a: float, b: float, lam: float, tol_scale: float = 1.0) -> CertificateReport:
     """Power-difference inequality ``a^lam - b^lam >= (a - b)^lam`` for ``a > b > 0``."""
-    if not (np.isfinite(a) and np.isfinite(b) and b > 0):
-        raise ValueError(f"requires finite a and b with b > 0, got a={a}, b={b}")
-    if a <= b:
-        raise RequiresOrdered(f"requires a > b, got a={a}, b={b}")
-    _check_lam(lam)
+    means.check_positive("a", a)
+    means.check_positive("b", b)
+    means.check_ordered(b, a, "b", "a")
+    means.check_power(lam)
     margin = a**lam - b**lam - (a - b) ** lam
     tol = TOL_RATE * tol_scale * (a**lam + 1.0)
     return _finish("power_difference", {"power_gap": margin}, tol, {"a": a, "b": b, "lam": lam})
@@ -616,7 +598,7 @@ def check_det_root_gap(
     its determinant root is then meaningless.
     """
     _check_weight_order(v, tau)
-    _check_lam(lam)
+    means.check_power(lam)
     n = a.dim
     pair = means.spectral_pair(a, b)
     tol_base = TOL_RATE * tol_scale
@@ -670,6 +652,5 @@ def check_det_half_weight_gap(
     The body of :func:`check_det_gap` at ``tau = 1/2``, which also admits
     the ``v = 0`` endpoint.
     """
-    if not 0 <= v <= 0.5:
-        raise ValueError(f"weight must lie in [0, 1/2], got {v}")
+    means.check_half_weight(v, zero_ok=True)
     return _det_gap("det_half_weight_gap", a, b, v, 0.5, tol_scale)

@@ -1,8 +1,9 @@
 """Command-line driver: verify / sweep / probe.
 
 Exit codes: 0 all certified, 1 at least one certified violation, 2 invalid
-input (bad flags, config, grid, or probe name or values), 3 a trial failed
-numerically (a typed error such as ``IllConditioned``; no report is written).
+input (bad flags, config, grid, or probe name or values, or a report path
+that cannot be written), 3 a trial failed numerically (a typed error such as
+``IllConditioned``; no report is written).
 """
 
 from __future__ import annotations
@@ -79,8 +80,11 @@ def _base_overrides(args) -> dict:
 
 
 def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_verify(args) -> int:

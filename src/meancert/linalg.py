@@ -32,8 +32,9 @@ RECONSTRUCTION_TOL = 1e-10
 #: Positive-definiteness gate: smallest eigenvalue must exceed this times ||A||_F.
 SPD_MIN_EIG_FACTOR = 1e-12
 
-#: Rate used by :func:`default_loewner_tol`.
-LOEWNER_TOL_RATE = 1e-9
+#: Base rate of every tolerance: ``TOL_RATE * tol_scale * s``, with a scale
+#: ``s >= 1`` mostly from the operands (``a + b + 1``, :func:`default_loewner_tol`).
+TOL_RATE = 1e-9
 
 #: Invertibility threshold of :func:`meancert.means.check_invertible`: the
 #: smallest singular value, relative to the largest (at least 1).
@@ -237,7 +238,7 @@ def order_verdict(margin: float, tol: float) -> OrderVerdict:
 
 def default_loewner_tol(a: HermitianMatrix, b: HermitianMatrix) -> float:
     """Default comparison tolerance, scaled to the operands' norms."""
-    return LOEWNER_TOL_RATE * (float(np.linalg.norm(a.mat)) + float(np.linalg.norm(b.mat)) + 1.0)
+    return TOL_RATE * (float(np.linalg.norm(a.mat)) + float(np.linalg.norm(b.mat)) + 1.0)
 
 
 def hs_norm(m) -> float:

@@ -45,42 +45,75 @@ The harmonic mean has no such closed product form; see :func:`x_harm`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateInput, DimensionMismatch, IllConditioned, PowerOverflow, Singular
+from .errors import (
+    DegenerateInput,
+    DimensionMismatch,
+    IllConditioned,
+    PowerOverflow,
+    RequiresOrdered,
+    Singular,
+)
 from .linalg import EigenDecomposition, SpdMatrix, cholesky, eig_hermitian, logdet_spd
 
 #: Relative gap below which a scalar pair counts as degenerate for ratios (0/0 form).
 RATIO_DEGENERACY_GUARD = 1e-12
 
+# One check per kind of input; each rejects NaN.
+
+
+def check_weight(v: float, open_interval: bool = False):
+    """Raise ``ValueError`` unless ``v`` lies in ``[0, 1]`` (or ``(0, 1)``)."""
+    if open_interval:
+        if not (0 < v < 1):
+            raise ValueError(f"weight must lie in the open interval (0, 1), got {v}")
+    elif not (0 <= v <= 1):
+        raise ValueError(f"weight must lie in [0, 1], got {v}")
+
+
+def check_half_weight(v: float, zero_ok: bool = False):
+    """Raise ``ValueError`` unless ``v`` lies in ``(0, 1/2]`` (``[0, 1/2]`` if ``zero_ok``)."""
+    if not (0 <= v <= 0.5 and (zero_ok or v > 0)):
+        raise ValueError(f"weight must lie in {'[' if zero_ok else '('}0, 1/2], got {v}")
+
+
+def check_power(lam: float):
+    """Raise ``ValueError`` unless the power ``lam`` is finite and at least 1."""
+    if not (math.isfinite(lam) and lam >= 1):
+        raise ValueError(f"power must be finite with lam >= 1, got {lam}")
+
+
+def check_positive(name: str, value: float):
+    """Raise ``ValueError`` unless ``value`` is a finite positive real."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive real, got {value!r}")
+
+
+def check_ordered(lo: float, hi: float, x: str = "a", y: str = "b"):
+    """Raise :class:`RequiresOrdered` unless ``lo < hi``, naming them ``x`` and ``y``."""
+    if not lo < hi:
+        raise RequiresOrdered(f"requires {x} < {y}, got {x}={lo}, {y}={hi}")
+
 
 @dataclass(frozen=True)
 class ScalarPair:
-    """Two strictly positive reals, the operands of the scalar means."""
+    """Two finite positive reals, the operands of the scalar means."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        for name, value in (("a", self.a), ("b", self.b)):
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite positive real, got {value!r}")
+        check_positive("a", self.a)
+        check_positive("b", self.b)
 
     def is_degenerate(self, rel_gap: float = RATIO_DEGENERACY_GUARD) -> bool:
         """True when the two values agree to within ``rel_gap`` relatively."""
         return abs(self.a - self.b) <= rel_gap * max(self.a, self.b)
-
-
-def check_weight(v: float, lo: float = 0.0, hi: float = 1.0, open_interval: bool = False):
-    """Raise ``ValueError`` unless ``v`` lies in ``[lo, hi]`` (or ``(lo, hi)``)."""
-    if open_interval:
-        if not (lo < v < hi):
-            raise ValueError(f"weight must lie in the open interval ({lo}, {hi}), got {v}")
-    elif not (lo <= v <= hi):
-        raise ValueError(f"weight must lie in [{lo}, {hi}], got {v}")
 
 
 def scalar_arith(v: float, pair: ScalarPair) -> float:
@@ -133,8 +166,7 @@ def gap_power_ratio(v: float, tau: float, lam: float, pair: ScalarPair) -> float
     """
     check_weight(v, open_interval=True)
     check_weight(tau, open_interval=True)
-    if lam < 1:
-        raise ValueError(f"power must satisfy lam >= 1, got {lam}")
+    check_power(lam)
     if pair.is_degenerate():
         raise DegenerateInput(f"operands {pair.a!r}, {pair.b!r} are numerically equal")
     try:
@@ -423,6 +455,5 @@ def normalized_gap(v: float, t: float) -> float:
     ``g_v(t) -> v(1-v)`` as ``t -> 1``.
     """
     check_weight(v, open_interval=True)
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError(f"t must be a positive real, got {t}")
+    check_positive("t", t)
     return v * (1 - v) / (v * t + 1 - v)

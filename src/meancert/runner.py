@@ -1,9 +1,10 @@
 """Suite orchestration: one table of certifiers, run as seeded trials.
 
 :data:`CERTIFIERS` declares each certifier id once, in canonical order, as a
-:class:`Certifier`: its instance draw, its check, its CSV margin columns and
-recorded weights and, for sweepable ids, the sweep's operand draw and weight
-constraint.  Verify trials (:func:`run_trial`) and sweep trials
+:class:`Certifier`: its instance draw, its check, its recorded weights and,
+for sweepable ids, the sweep's operand draw and weight constraint.  The
+check's report names its margins, which fill the CSV margin columns in
+order.  Verify trials (:func:`run_trial`) and sweep trials
 (:func:`_sweep_report`) both check through the entry and record through
 :func:`_record`, so a new certifier is one new entry.
 
@@ -100,17 +101,16 @@ class Certifier:
     """One certifier id.  A trial draws ``(operands, params) = draw(rng, dim,
     cap)`` and reports ``certifiers.<check>(*operands, **params, tol_scale)``.
 
-    The report's margin named ``lower`` fills the ``margin_lower`` column and
-    the one named ``upper`` (if any) ``margin_upper``; ``row(params)`` is the
-    recorded ``(v, tau, lambda)``.  A sweepable id draws a sweep trial's
-    operands with ``sweep_draw`` and takes its params from ``sweep_cell(v,
-    tau, lam)``, which is None for a cell outside the weight hypotheses.
+    The report's first margin fills the ``margin_lower`` column and its
+    second (if any) ``margin_upper``, so a check reports at most two.
+    ``row(params)`` is the recorded ``(v, tau, lambda)``.  A sweepable id
+    draws a sweep trial's operands with ``sweep_draw`` and takes its params
+    from ``sweep_cell(v, tau, lam)``, which is None for a cell outside the
+    weight hypotheses.
     """
 
     check: str
     draw: Callable
-    lower: str
-    upper: str | None = None
     row: Callable = lambda params: (params.get("v"), params.get("tau"), params.get("lam"))
     sweep_draw: Callable | None = None
     sweep_cell: Callable | None = None
@@ -205,60 +205,53 @@ def _draw_power_difference(rng, dim, cap):
     return (a, b), {"lam": sample_power(rng)}
 
 
-AGH = ("geo_minus_harm", "arith_minus_geo")
-BOUNDS = ("above_lower", "below_upper")
 ORDERED_PAIR = _scalar("v", ordered_pair=True)
 
 #: Every certifier in canonical order.  Ranks index the per-trial seed
 #: streams, so a certifier's instances do not depend on which others run.
-#: Two determinant bounds name their one margin after the bound.
 CERTIFIERS = {
-    "scalar_agh": Certifier("check_scalar_agh", _scalar("v"), *AGH),
-    "matrix_agh": Certifier("check_matrix_agh", _then(_spd_pair, _v(endpoints=True)), *AGH),
+    "scalar_agh": Certifier("check_scalar_agh", _scalar("v")),
+    "matrix_agh": Certifier("check_matrix_agh", _then(_spd_pair, _v(endpoints=True))),
     "gap_ratio": Certifier(
-        "check_gap_ratio", _scalar("v", "tau", "lam", v_lt_tau=True), *BOUNDS,
+        "check_gap_ratio", _scalar("v", "tau", "lam", v_lt_tau=True),
         sweep_draw=_scalar_pair,
         sweep_cell=_cell("v", "tau", "lam", strict=True),
     ),
     "half_weight_gap": Certifier(
-        "check_half_weight_gap", _draw_half_weight_gap, *BOUNDS,
+        "check_half_weight_gap", _draw_half_weight_gap,
         row=lambda p: (p["v"], None, 2.0 if p["squared"] else 1.0),
     ),
-    "inverse_convexity": Certifier("check_inverse_convexity_gap", ORDERED_PAIR, *BOUNDS),
-    "one_sided_gap": Certifier("check_one_sided_gap", ORDERED_PAIR, *BOUNDS),
+    "inverse_convexity": Certifier("check_inverse_convexity_gap", ORDERED_PAIR),
+    "one_sided_gap": Certifier("check_one_sided_gap", ORDERED_PAIR),
     "matrix_gap_ratio": Certifier(
-        "check_matrix_gap_ratio", _then(_spd_pair, _ordered("v", "tau")), *BOUNDS,
+        "check_matrix_gap_ratio", _then(_spd_pair, _ordered("v", "tau")),
         sweep_draw=_spd_pair, sweep_cell=_cell("v", "tau"),
     ),
     "matrix_half_weight_gap": Certifier(
-        "check_matrix_half_weight_gap", _then(_spd_pair, _v(0.02, 0.5)), *BOUNDS,
+        "check_matrix_half_weight_gap", _then(_spd_pair, _v(0.02, 0.5)),
         row=lambda p: (p["v"], 0.5, None),
     ),
-    "spread_gap_cap": Certifier("check_spread_gap_cap", _draw_spread_gap_cap, "cap_minus_gap"),
+    "spread_gap_cap": Certifier("check_spread_gap_cap", _draw_spread_gap_cap),
     # the Hilbert-Schmidt bounds compare squared norms: power 2
     "hs_gap_ratio": Certifier(
-        "check_hs_gap_ratio", _then(_spd_pair_x, _ordered("v", "tau")), *BOUNDS,
+        "check_hs_gap_ratio", _then(_spd_pair_x, _ordered("v", "tau")),
         row=lambda p: (p["v"], p["tau"], 2.0), sweep_draw=_spd_pair_x, sweep_cell=_cell("v", "tau"),
     ),
-    "hs_agh_chain": Certifier(
-        "check_hs_agh_chain", _then(_spd_pair_x, _v(endpoints=True)), *reversed(AGH)
-    ),
+    "hs_agh_chain": Certifier("check_hs_agh_chain", _then(_spd_pair_x, _v(endpoints=True))),
     "hs_half_weight_gap": Certifier(
-        "check_hs_half_weight_gap", _then(_spd_pair_x, _v(0.02, 0.5)), *BOUNDS,
+        "check_hs_half_weight_gap", _then(_spd_pair_x, _v(0.02, 0.5)),
         row=lambda p: (p["v"], None, 2.0),
     ),
-    "det_power_order": Certifier(
-        "check_det_power_order", _then(_spd_pair, _v_power), "det_power_gap"
-    ),
-    "minkowski_products": Certifier("check_minkowski_products", _draw_minkowski, "minkowski_gap"),
-    "power_difference": Certifier("check_power_difference", _draw_power_difference, "power_gap"),
+    "det_power_order": Certifier("check_det_power_order", _then(_spd_pair, _v_power)),
+    "minkowski_products": Certifier("check_minkowski_products", _draw_minkowski),
+    "power_difference": Certifier("check_power_difference", _draw_power_difference),
     "det_root_gap": Certifier(
-        "check_det_root_gap", _then(_spd_pair, _ordered("v", "tau", "lam")), "det_root_gap",
+        "check_det_root_gap", _then(_spd_pair, _ordered("v", "tau", "lam")),
         sweep_draw=_spd_pair, sweep_cell=_cell("v", "tau", "lam"),
     ),
-    "det_gap": Certifier("check_det_gap", _then(_spd_pair, _ordered("v", "tau")), "det_gap"),
+    "det_gap": Certifier("check_det_gap", _then(_spd_pair, _ordered("v", "tau"))),
     "det_half_weight_gap": Certifier(
-        "check_det_half_weight_gap", _then(_spd_pair, _v(0.0, 0.5, endpoints=True)), "det_gap",
+        "check_det_half_weight_gap", _then(_spd_pair, _v(0.0, 0.5, endpoints=True)),
         row=lambda p: (p["v"], 0.5, None),
     ),
 }
@@ -282,11 +275,11 @@ def _check(entry: Certifier, operands: tuple, params: dict, tol_scale: float) ->
 
 
 def _record(ineq: str, dim: int, cap: float, trial_index: int, row: tuple, report) -> TrialRecord:
-    """The report row of one trial; ``row`` is its recorded (v, tau, lambda)."""
-    entry = CERTIFIERS[ineq]
+    """The report row of one trial; ``row`` is its recorded (v, tau, lambda),
+    and the report's first two margins are ``margin_lower`` and ``margin_upper``."""
+    margins = iter(report.margins.values())
     return TrialRecord(
-        ineq, dim, *row, cap, trial_index,
-        report.margins.get(entry.lower), report.margins.get(entry.upper),
+        ineq, dim, *row, cap, trial_index, next(margins, None), next(margins, None),
         report.tol_used, report.verdict, report.degenerate, report.witness,
     )
 
@@ -526,9 +519,7 @@ PROBES = {
 PROBE_NAMES = tuple(PROBES)
 
 
-def run_probe(
-    name: str, params: dict, tol_scale: float = 1.0
-) -> tuple[list[dict], list[CertificateReport]]:
+def run_probe(name: str, params: dict) -> tuple[list[dict], list[CertificateReport]]:
     """The gap table of probe ``name`` and one report per value of its list
     param; ``params`` overrides the probe's defaults.  A bad param value
     raises :class:`ConfigError` naming the probe."""
@@ -540,7 +531,7 @@ def run_probe(
     rows, reports = [], []
     for value in values:
         try:
-            table, report = entry.probe(**{entry.each: value}, **fixed, tol_scale=tol_scale)
+            table, report = entry.probe(**{entry.each: value}, **fixed)
         except (MeanCertError, ValueError) as exc:
             raise ConfigError(f"probe {name}: {exc}") from exc
         rows.extend({**dict.fromkeys(PROBE_CSV_COLUMNS), "probe": name, **row} for row in table)

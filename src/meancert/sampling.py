@@ -14,8 +14,8 @@ import numpy as np
 
 from .certifiers import BoundsHypothesis, spread_hypothesis_verdicts
 from .errors import ConstructionFailure
-from .linalg import HermitianMatrix, SpdMatrix
-from .means import ScalarPair
+from .linalg import SpdMatrix
+from .means import ScalarPair, check_positive
 
 #: Interior guard applied to ordered-pair spectra so the hypothesis checks
 #: pass at zero tolerance despite rounding (see random_ordered_pair).
@@ -63,10 +63,10 @@ class SpectrumSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be at least 1, got {self.dim}")
-        if not 0 < self.min_eig <= self.max_eig:
-            raise ValueError(
-                f"need 0 < min_eig <= max_eig, got {self.min_eig}, {self.max_eig}"
-            )
+        check_positive("min_eig", self.min_eig)
+        check_positive("max_eig", self.max_eig)
+        if not self.min_eig <= self.max_eig:
+            raise ValueError(f"need min_eig <= max_eig, got {self.min_eig}, {self.max_eig}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
@@ -113,16 +113,6 @@ def random_spd(spec: SpectrumSpec, seed) -> SpdMatrix:
     w = _draw_spectrum(spec, rng)
     u = random_unitary(spec.dim, rng)
     return SpdMatrix((u * w) @ u.conj().T)
-
-
-def random_hermitian(dim: int, min_abs_eig: float, max_abs_eig: float, seed) -> HermitianMatrix:
-    """Random Hermitian matrix with eigenvalue magnitudes in the given band
-    and random signs (not necessarily definite)."""
-    rng = _rng(seed)
-    mags = np.exp(rng.uniform(np.log(min_abs_eig), np.log(max_abs_eig), size=dim))
-    signs = np.where(rng.random(dim) < 0.5, -1.0, 1.0)
-    u = random_unitary(dim, rng)
-    return HermitianMatrix((u * (mags * signs)) @ u.conj().T)
 
 
 def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, SpdMatrix]:
@@ -176,6 +166,7 @@ def random_invertible(dim: int, cond_cap: float, seed) -> np.ndarray:
     Singular values are log-uniform in ``[cond_cap^-1/2, cond_cap^1/2]``;
     ``cond_cap = 1`` yields a unitary.
     """
+    check_positive("cond_cap", cond_cap)
     if cond_cap < 1:
         raise ValueError(f"cond_cap must be at least 1, got {cond_cap}")
     rng = _rng(seed)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from meancert import cli
+from meancert import certifiers, cli
 from meancert.config import CANONICAL_IDS, load_config
 from meancert.errors import ConfigError
 from meancert import runner
@@ -124,6 +124,14 @@ class TestVerifyCommand:
         assert run_cli(args + flags.split()) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        # exit 1 is reserved for a certified violation
+        out = tmp_path / "missing" / "report.csv"
+        args = ["verify", "--select", "scalar_agh", "--trials", "2", "--out", str(out)]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [
@@ -331,6 +339,14 @@ class TestSweepCommand:
             with pytest.raises(ConfigError):
                 runner.run_sweep(cfg, grid, "gap_ratio")
 
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        grid = self.grid_file(tmp_path, "v = 0.2\ntau = 0.6\n")
+        out = tmp_path / "missing" / "sweep.csv"
+        args = ["sweep", "--grid", grid, "--select", "gap_ratio", "--trials", "2", "--out", str(out)]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
     def test_byte_identical_reruns(self, tmp_path):
         # the same sweep written to two paths: the bytes must not echo the path
         grid = self.grid_file(tmp_path, "v = 0.2\ntau = 0.6\nlambda = 1, 2\ndim = 2, 3\n")
@@ -392,11 +408,35 @@ class TestProbeCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "probe.csv"
+        assert run_cli(["probe", "--name", "gap_ratio_limits", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
     def test_usage_error_exit_two(self):
         assert run_cli(["probe"]) == 2
 
     def test_unknown_command_exit_two(self):
         assert run_cli(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("ineq", CANONICAL_IDS)
+def test_margin_columns_follow_the_report(monkeypatch, ineq):
+    # the CSV has two margin columns, so a third margin would be dropped silently
+    check = runner.CERTIFIERS[ineq].check
+    original, reports = getattr(certifiers, check), []
+
+    def capture(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(certifiers, check, capture)
+    record = runner.run_trial(load_config(None, {"trials_per_inequality": 1}), ineq, 0)
+    (report,) = reports
+    margins = list(report.margins.values())
+    assert not report.degenerate and 1 <= len(margins) <= 2
+    assert [record.margin_lower, record.margin_upper] == margins + [None] * (2 - len(margins))
 
 
 #: numpy version the report pins below were taken under.  The matrix rows

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hermitian import random_hermitian
 from meancert import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -16,7 +17,7 @@ from meancert import (
     logdet_spd,
     matrix_power,
 )
-from meancert.sampling import SeedPath, random_hermitian
+from meancert.sampling import SeedPath
 
 
 def test_complex_matrix_validation():

@@ -127,6 +127,11 @@ class TestGapHelpers:
         with pytest.raises(DegenerateInput):
             gap_power_ratio(0.45, 0.5, 3000.0, ScalarPair(0.5, 0.2))
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_ratio_rejects_non_finite_power(self, lam):
+        with pytest.raises(ValueError):
+            gap_power_ratio(0.25, 0.5, lam, ScalarPair(1.0, 2.0))
+
 
 class TestMatrixMeans:
     def test_arith_values(self):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from hermitian import random_hermitian
 from meancert import SpdMatrix, eig_hermitian
 from meancert.sampling import (
     SeedPath,
     SpectrumSpec,
-    random_hermitian,
     random_invertible,
     random_ordered_pair,
     random_spd,
