@@ -65,7 +65,7 @@ from .certifiers import (
     check_hs_agh_chain,
     check_hs_gap_ratio,
     check_hs_half_weight_gap,
-    check_inverse_convexity_gap,
+    check_inverse_convexity,
     check_matrix_agh,
     check_matrix_gap_ratio,
     check_matrix_half_weight_gap,

@@ -20,7 +20,6 @@ are sharp by walking toward their limits.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +59,6 @@ class CertificateReport:
     ``witness`` carries the serialized inputs whenever ``holds`` is False.
     """
 
-    inequality_id: str
     holds: bool
     margins: dict[str, float] = field(default_factory=dict)
     tol_used: float = 0.0
@@ -112,14 +110,14 @@ def _serialize(value):
     return float(value)
 
 
-def _finish(ineq_id: str, margins: dict[str, float], tol: float, inputs: dict) -> CertificateReport:
+def _finish(margins: dict[str, float], tol: float, inputs: dict) -> CertificateReport:
     holds = all(m >= -tol for m in margins.values())
     witness = None if holds else {name: _serialize(v) for name, v in inputs.items()}
-    return CertificateReport(ineq_id, holds, margins, float(tol), False, witness)
+    return CertificateReport(holds, margins, float(tol), False, witness)
 
 
-def _degenerate(ineq_id: str, tol: float) -> CertificateReport:
-    return CertificateReport(ineq_id, True, {}, float(tol), True, None)
+def _degenerate(tol: float) -> CertificateReport:
+    return CertificateReport(True, {}, float(tol), True, None)
 
 
 def _check_weight_order(v: float, tau: float, strict: bool = False):
@@ -154,7 +152,7 @@ def check_scalar_agh(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> Cert
     s = means.scalar_arith(v, pair)
     tol = TOL_RATE * tol_scale * (pair.a + pair.b + 1.0)
     margins = {"geo_minus_harm": g - h, "arith_minus_geo": s - g}
-    return _finish("scalar_agh", margins, tol, {"pair": pair, "v": v})
+    return _finish(margins, tol, {"pair": pair, "v": v})
 
 
 def check_matrix_agh(a: SpdMatrix, b: SpdMatrix, v: float, tol_scale: float = 1.0) -> CertificateReport:
@@ -167,7 +165,7 @@ def check_matrix_agh(a: SpdMatrix, b: SpdMatrix, v: float, tol_scale: float = 1.
         "geo_minus_harm": pair.min_eig(geo - harm),
         "arith_minus_geo": pair.min_eig(arith - geo),
     }
-    return _finish("matrix_agh", margins, tol, {"A": a, "B": b, "v": v})
+    return _finish(margins, tol, {"A": a, "B": b, "v": v})
 
 
 def check_gap_ratio(
@@ -183,10 +181,10 @@ def check_gap_ratio(
     lower, upper = _gap_ratio_bounds(v, tau, lam)
     tol = TOL_RATE * tol_scale * (upper + 1.0)
     if pair.is_degenerate(NEAR_EQUAL_GUARD):
-        return _degenerate("gap_ratio", tol)
+        return _degenerate(tol)
     ratio = means.gap_power_ratio(v, tau, lam, pair)
     margins = {"above_lower": ratio - lower, "below_upper": upper - ratio}
-    return _finish("gap_ratio", margins, tol, {"pair": pair, "v": v, "tau": tau, "lam": lam})
+    return _finish(margins, tol, {"pair": pair, "v": v, "tau": tau, "lam": lam})
 
 
 def probe_gap_ratio_limits(
@@ -231,9 +229,7 @@ def probe_gap_ratio_limits(
     witness = None if holds else {
         "v": v, "tau": tau, "lam": lam, "b": b, "eps_list": [float(e) for e in eps_sorted],
     }
-    return rows, CertificateReport(
-        "gap_ratio_limits", holds, {**margins, **mono}, mono_tol, False, witness
-    )
+    return rows, CertificateReport(holds, {**margins, **mono}, mono_tol, False, witness)
 
 
 def check_half_weight_gap(
@@ -259,12 +255,10 @@ def check_half_weight_gap(
         scale = pair.a + pair.b + 1.0
     tol = TOL_RATE * tol_scale * scale
     margins = {"above_lower": mid - lo_f * base, "below_upper": hi_f * base - mid}
-    return _finish(
-        "half_weight_gap", margins, tol, {"pair": pair, "v": v, "squared": float(squared)}
-    )
+    return _finish(margins, tol, {"pair": pair, "v": v, "squared": float(squared)})
 
 
-def check_inverse_convexity_gap(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> CertificateReport:
+def check_inverse_convexity(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> CertificateReport:
     """Curvature sandwich for ``f(x) = 1/x`` on ``[a, b]`` with ``a < b``:
 
         ``(v(1-v)/2)(b-a)^2 (2/b^3) <= v/a + (1-v)/b - 1/(v a + (1-v) b)
@@ -277,14 +271,14 @@ def check_inverse_convexity_gap(pair: ScalarPair, v: float, tol_scale: float = 1
     means.check_ordered(a, b)
     tol = TOL_RATE * tol_scale * (1 / a + 1 / b + 1.0)
     if pair.is_degenerate(NEAR_EQUAL_GUARD):
-        return _degenerate("inverse_convexity", tol)
+        return _degenerate(tol)
     mid = v / a + (1 - v) / b - 1.0 / (v * a + (1 - v) * b)
     coeff = 0.5 * v * (1 - v) * (b - a) ** 2
     margins = {
         "above_lower": mid - coeff * (2.0 / b**3),
         "below_upper": coeff * (2.0 / a**3) - mid,
     }
-    return _finish("inverse_convexity", margins, tol, {"pair": pair, "v": v})
+    return _finish(margins, tol, {"pair": pair, "v": v})
 
 
 def check_one_sided_gap(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> CertificateReport:
@@ -297,12 +291,12 @@ def check_one_sided_gap(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> C
     means.check_ordered(a, b)
     tol = TOL_RATE * tol_scale * (a + b + 1.0)
     if pair.is_degenerate(NEAR_EQUAL_GUARD):
-        return _degenerate("one_sided_gap", tol)
+        return _degenerate(tol)
     mid = means.scalar_arith(v, pair) - means.scalar_harm(v, pair)
     lower = v * (1 - v) * (1 - a / b) ** 2 * a
     upper = v * (1 - v) * (1 - b / a) ** 2 * b
     margins = {"above_lower": mid - lower, "below_upper": upper - mid}
-    return _finish("one_sided_gap", margins, tol, {"pair": pair, "v": v})
+    return _finish(margins, tol, {"pair": pair, "v": v})
 
 
 def probe_normalized_gap(
@@ -345,7 +339,7 @@ def probe_normalized_gap(
     checked = {k: m for k, m in margins.items() if not k.startswith("gap[")}
     holds = all(m >= -tol for m in checked.values())
     witness = None if holds else {"v": v, "t_list": [float(t) for t in ts]}
-    return rows, CertificateReport("normalized_gap_limit", holds, margins, tol, False, witness)
+    return rows, CertificateReport(holds, margins, tol, False, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +364,7 @@ def check_matrix_gap_ratio(
         "above_lower": pair.min_eig(gap_v - (v / tau) * gap_t),
         "below_upper": pair.min_eig(((1 - v) / (1 - tau)) * gap_t - gap_v),
     }
-    return _finish("matrix_gap_ratio", margins, tol, {"A": a, "B": b, "v": v, "tau": tau})
+    return _finish(margins, tol, {"A": a, "B": b, "v": v, "tau": tau})
 
 
 def check_matrix_half_weight_gap(
@@ -382,8 +376,7 @@ def check_matrix_half_weight_gap(
           <= 2(1-v) (A nabla B - A ! B)``.
     """
     means.check_half_weight(v)
-    report = check_matrix_gap_ratio(a, b, v, 0.5, tol_scale)
-    return dataclasses.replace(report, inequality_id="matrix_half_weight_gap")
+    return check_matrix_gap_ratio(a, b, v, 0.5, tol_scale)
 
 
 def spread_hypothesis_verdicts(
@@ -421,12 +414,7 @@ def check_spread_gap_cap(
     pair = means.spectral_pair(a, b)
     margin = pair.min_eig(coeff * pair.mu - pair.gap(v))
     tol = TOL_RATE * tol_scale * ((coeff + 1.0) * hs_norm(b) + hs_norm(a) + 1.0)
-    return _finish(
-        "spread_gap_cap",
-        {"cap_minus_gap": margin},
-        tol,
-        {"A": a, "B": b, "v": v, "bounds": bounds},
-    )
+    return _finish({"cap_minus_gap": margin}, tol, {"A": a, "B": b, "v": v, "bounds": bounds})
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +454,13 @@ def check_hs_gap_ratio(
     dnum, snum = _hs_gap_squared(pair, v)
     dden, sden = _hs_gap_squared(pair, tau)
     if abs(dden) <= HS_DENOMINATOR_FLOOR * (sden + 1.0):
-        return _degenerate("hs_gap_ratio", TOL_RATE * tol_scale)
+        return _degenerate(TOL_RATE * tol_scale)
     ratio = dnum / dden
     lower = (v / tau) ** 2
     upper = ((1 - v) / (1 - tau)) ** 2
     tol = TOL_RATE * tol_scale * ((snum + abs(ratio) * sden) / abs(dden) + 1.0)
     margins = {"above_lower": ratio - lower, "below_upper": upper - ratio}
-    return _finish(
-        "hs_gap_ratio", margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v, "tau": tau}
-    )
+    return _finish(margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v, "tau": tau})
 
 
 def check_hs_agh_chain(
@@ -492,7 +478,7 @@ def check_hs_agh_chain(
     nh = pair.hs_norm2(pair.harm(v))
     tol = TOL_RATE * tol_scale * (na + ng + nh + 1.0)
     margins = {"arith_minus_geo": na - ng, "geo_minus_harm": ng - nh}
-    return _finish("hs_agh_chain", margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v})
+    return _finish(margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v})
 
 
 def check_hs_half_weight_gap(
@@ -513,9 +499,7 @@ def check_hs_half_weight_gap(
         "above_lower": d_v - 4 * v**2 * d_half,
         "below_upper": 4 * (1 - v) ** 2 * d_half - d_v,
     }
-    return _finish(
-        "hs_half_weight_gap", margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v}
-    )
+    return _finish(margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v})
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +532,7 @@ def check_det_power_order(
     with np.errstate(over="ignore"):
         scale = float(np.exp(lam * ld_arith) + np.exp(lam * ld_harm))
     tol = TOL_RATE * tol_scale * (scale + 1.0)
-    return _finish(
-        "det_power_order", {"det_power_gap": margin}, tol, {"A": a, "B": b, "v": v, "lam": lam}
-    )
+    return _finish({"det_power_gap": margin}, tol, {"A": a, "B": b, "v": v, "lam": lam})
 
 
 def check_minkowski_products(a_vec, b_vec, tol_scale: float = 1.0) -> CertificateReport:
@@ -569,9 +551,7 @@ def check_minkowski_products(a_vec, b_vec, tol_scale: float = 1.0) -> Certificat
     gs = float(np.exp(np.mean(np.log(av + bv))))
     margin = gs - ga - gb
     tol = TOL_RATE * tol_scale * (gs + ga + gb + 1.0)
-    return _finish(
-        "minkowski_products", {"minkowski_gap": margin}, tol, {"a_vec": list(av), "b_vec": list(bv)}
-    )
+    return _finish({"minkowski_gap": margin}, tol, {"a_vec": list(av), "b_vec": list(bv)})
 
 
 def check_power_difference(a: float, b: float, lam: float, tol_scale: float = 1.0) -> CertificateReport:
@@ -580,9 +560,13 @@ def check_power_difference(a: float, b: float, lam: float, tol_scale: float = 1.
     means.check_positive("b", b)
     means.check_ordered(b, a, "b", "a")
     means.check_power(lam)
-    margin = a**lam - b**lam - (a - b) ** lam
-    tol = TOL_RATE * tol_scale * (a**lam + 1.0)
-    return _finish("power_difference", {"power_gap": margin}, tol, {"a": a, "b": b, "lam": lam})
+    try:
+        a_lam = a**lam
+        margin = a_lam - b**lam - (a - b) ** lam
+    except OverflowError as exc:
+        raise PowerOverflow(f"a ** {lam!r} exceeds double precision") from exc
+    tol = TOL_RATE * tol_scale * (a_lam + 1.0)
+    return _finish({"power_gap": margin}, tol, {"a": a, "b": b, "lam": lam})
 
 
 def check_det_root_gap(
@@ -595,7 +579,8 @@ def check_det_root_gap(
 
     with ``G_tau`` the tau-weighted gap matrix.  A numerically singular
     ``G_tau`` (the two operands nearly equal) gives a degenerate report since
-    its determinant root is then meaningless.
+    its determinant root is then meaningless.  A power that exceeds double
+    precision raises :class:`PowerOverflow`.
     """
     _check_weight_order(v, tau)
     means.check_power(lam)
@@ -603,32 +588,28 @@ def check_det_root_gap(
     pair = means.spectral_pair(a, b)
     tol_base = TOL_RATE * tol_scale
     if pair.min_eig(pair.gap(tau)) <= DET_GAP_FLOOR * hs_norm(tau * a.mat + (1 - tau) * b.mat):
-        return _degenerate("det_root_gap", tol_base)
+        return _degenerate(tol_base)
     ld_arith = means.logdet_arith(a, b, v)
     ld_harm = means.logdet_harm(a, b, v)
     ld_gap = means.logdet_gap(a, b, tau)
-    t_gap = (v / tau) ** lam * np.exp(lam / n * ld_gap)
-    margin = _stable_power_difference(ld_arith, ld_harm, lam / n) - t_gap
-    scale = float(np.exp(lam / n * ld_arith) + np.exp(lam / n * ld_harm) + t_gap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_gap = (v / tau) ** lam * np.exp(lam / n * ld_gap)
+        margin = _stable_power_difference(ld_arith, ld_harm, lam / n) - t_gap
+        scale = float(np.exp(lam / n * ld_arith) + np.exp(lam / n * ld_harm) + t_gap)
+    if not np.isfinite(scale):
+        raise PowerOverflow(f"a determinant to the power {lam!r}/{n} exceeds double precision")
     tol = tol_base * (scale + 1.0)
-    return _finish(
-        "det_root_gap",
-        {"det_root_gap": margin},
-        tol,
-        {"A": a, "B": b, "v": v, "tau": tau, "lam": lam},
-    )
+    return _finish({"det_root_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": tau, "lam": lam})
 
 
-def _det_gap(
-    ineq_id: str, a: SpdMatrix, b: SpdMatrix, v: float, tau: float, tol_scale: float
-) -> CertificateReport:
+def _det_gap(a: SpdMatrix, b: SpdMatrix, v: float, tau: float, tol_scale: float) -> CertificateReport:
     n = a.dim
     d_arith = np.exp(means.logdet_arith(a, b, v))
     d_harm = np.exp(means.logdet_harm(a, b, v))
     t_gap = (v / tau) ** n * np.exp(means.logdet_gap(a, b, tau))
     margin = float(d_arith - d_harm - t_gap)
     tol = TOL_RATE * tol_scale * (d_arith + d_harm + t_gap + 1.0)
-    return _finish(ineq_id, {"det_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": tau})
+    return _finish({"det_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": tau})
 
 
 def check_det_gap(
@@ -639,7 +620,7 @@ def check_det_gap(
         ``det(A !_v B) + (v/tau)^n det(G_tau) <= det(A nabla_v B)``.
     """
     _check_weight_order(v, tau)
-    return _det_gap("det_gap", a, b, v, tau, tol_scale)
+    return _det_gap(a, b, v, tau, tol_scale)
 
 
 def check_det_half_weight_gap(
@@ -653,4 +634,4 @@ def check_det_half_weight_gap(
     the ``v = 0`` endpoint.
     """
     means.check_half_weight(v, zero_ok=True)
-    return _det_gap("det_half_weight_gap", a, b, v, 0.5, tol_scale)
+    return _det_gap(a, b, v, 0.5, tol_scale)

@@ -3,7 +3,7 @@
 Exit codes: 0 all certified, 1 at least one certified violation, 2 invalid
 input (bad flags, config, grid, or probe name or values, or a report path
 that cannot be written), 3 a trial failed numerically (a typed error such as
-``IllConditioned``; no report is written).
+``IllConditioned`` or ``PowerOverflow``; no report is written).
 """
 
 from __future__ import annotations
@@ -87,18 +87,27 @@ def _write(path: str, text: str):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(getattr(args, "config", None), _base_overrides(args))
-    records, summaries = runner.run_verify(cfg)
-    out_path = cfg.resolved_output_path("verify_report")
-    failures = sum(len(s["failures"]) for s in summaries.values())
+def _write_report(cfg, stem: str, records, to_json) -> tuple[str, int]:
+    """Write ``records`` as the CSV report, plus ``<out>.witnesses.json`` when
+    a row fails, or write ``to_json()``; return the path and the failures."""
+    out_path = cfg.resolved_output_path(stem)
+    failures = sum(1 for r in records if r.verdict == "fail")
     if cfg.output_format == "csv":
         _write(out_path, runner.records_to_csv(records))
         if failures:
             # the fixed CSV columns cannot carry witnesses; violations get a sidecar
             _write(out_path + ".witnesses.json", runner.witnesses_json(records))
     else:
-        _write(out_path, runner.suite_json(cfg, summaries, records))
+        _write(out_path, to_json())
+    return out_path, failures
+
+
+def cmd_verify(args) -> int:
+    cfg = load_config(getattr(args, "config", None), _base_overrides(args))
+    records, summaries = runner.run_verify(cfg)
+    out_path, failures = _write_report(
+        cfg, "verify_report", records, lambda: runner.suite_json(cfg, summaries, records)
+    )
     print(runner.summary_table(summaries))
     print(f"report written to {out_path}; failures={failures}")
     return 1 if failures else 0
@@ -108,12 +117,9 @@ def cmd_sweep(args) -> int:
     cfg = load_config(getattr(args, "config", None), _base_overrides(args))
     grid = read_kv_file(args.grid, GRID_PARSERS)
     records, skipped = runner.run_sweep(cfg, grid, args.select)
-    out_path = cfg.resolved_output_path("sweep_report")
-    if cfg.output_format == "csv":
-        _write(out_path, runner.records_to_csv(records))
-    else:
-        _write(out_path, runner.sweep_json(cfg, args.select, records, skipped))
-    failures = sum(1 for r in records if r.verdict == "fail")
+    out_path, failures = _write_report(
+        cfg, "sweep_report", records, lambda: runner.sweep_json(cfg, args.select, records, skipped)
+    )
     print(f"skipped_cells={skipped}")
     print(f"report written to {out_path}; rows={len(records)}; failures={failures}")
     return 1 if failures else 0

@@ -1,12 +1,13 @@
 """Suite orchestration: one table of certifiers, run as seeded trials.
 
 :data:`CERTIFIERS` declares each certifier id once, in canonical order, as a
-:class:`Certifier`: its instance draw, its check, its recorded weights and,
-for sweepable ids, the sweep's operand draw and weight constraint.  The
-check's report names its margins, which fill the CSV margin columns in
-order.  Verify trials (:func:`run_trial`) and sweep trials
-(:func:`_sweep_report`) both check through the entry and record through
-:func:`_record`, so a new certifier is one new entry.
+:class:`Certifier`: its instance draw, its recorded weights and, for
+sweepable ids, the sweep's operand draw and weight constraint.  The check of
+id ``<id>`` is ``certifiers.check_<id>``; its report names its margins,
+which fill the CSV margin columns in order.  Verify trials
+(:func:`run_trial`) and sweep trials (:func:`_sweep_report`) both check
+through :func:`_check`, record through :func:`_record` and run on one
+executor, :func:`_run`, so a new certifier is one new entry.
 
 Each (certifier, trial) pair is an independent task whose randomness derives
 only from ``(master_seed, global_trial_index)``, where the global index is
@@ -98,8 +99,9 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class Certifier:
-    """One certifier id.  A trial draws ``(operands, params) = draw(rng, dim,
-    cap)`` and reports ``certifiers.<check>(*operands, **params, tol_scale)``.
+    """One certifier ``<id>``.  A trial draws ``(operands, params) = draw(rng,
+    dim, cap)`` and reports ``certifiers.check_<id>(*operands, **params,
+    tol_scale)``.
 
     The report's first margin fills the ``margin_lower`` column and its
     second (if any) ``margin_upper``, so a check reports at most two.
@@ -109,7 +111,6 @@ class Certifier:
     weight hypotheses.
     """
 
-    check: str
     draw: Callable
     row: Callable = lambda params: (params.get("v"), params.get("tau"), params.get("lam"))
     sweep_draw: Callable | None = None
@@ -210,49 +211,44 @@ ORDERED_PAIR = _scalar("v", ordered_pair=True)
 #: Every certifier in canonical order.  Ranks index the per-trial seed
 #: streams, so a certifier's instances do not depend on which others run.
 CERTIFIERS = {
-    "scalar_agh": Certifier("check_scalar_agh", _scalar("v")),
-    "matrix_agh": Certifier("check_matrix_agh", _then(_spd_pair, _v(endpoints=True))),
+    "scalar_agh": Certifier(_scalar("v")),
+    "matrix_agh": Certifier(_then(_spd_pair, _v(endpoints=True))),
     "gap_ratio": Certifier(
-        "check_gap_ratio", _scalar("v", "tau", "lam", v_lt_tau=True),
+        _scalar("v", "tau", "lam", v_lt_tau=True),
         sweep_draw=_scalar_pair,
         sweep_cell=_cell("v", "tau", "lam", strict=True),
     ),
     "half_weight_gap": Certifier(
-        "check_half_weight_gap", _draw_half_weight_gap,
-        row=lambda p: (p["v"], None, 2.0 if p["squared"] else 1.0),
+        _draw_half_weight_gap, row=lambda p: (p["v"], None, 2.0 if p["squared"] else 1.0)
     ),
-    "inverse_convexity": Certifier("check_inverse_convexity_gap", ORDERED_PAIR),
-    "one_sided_gap": Certifier("check_one_sided_gap", ORDERED_PAIR),
+    "inverse_convexity": Certifier(ORDERED_PAIR),
+    "one_sided_gap": Certifier(ORDERED_PAIR),
     "matrix_gap_ratio": Certifier(
-        "check_matrix_gap_ratio", _then(_spd_pair, _ordered("v", "tau")),
-        sweep_draw=_spd_pair, sweep_cell=_cell("v", "tau"),
+        _then(_spd_pair, _ordered("v", "tau")), sweep_draw=_spd_pair, sweep_cell=_cell("v", "tau")
     ),
     "matrix_half_weight_gap": Certifier(
-        "check_matrix_half_weight_gap", _then(_spd_pair, _v(0.02, 0.5)),
-        row=lambda p: (p["v"], 0.5, None),
+        _then(_spd_pair, _v(0.02, 0.5)), row=lambda p: (p["v"], 0.5, None)
     ),
-    "spread_gap_cap": Certifier("check_spread_gap_cap", _draw_spread_gap_cap),
+    "spread_gap_cap": Certifier(_draw_spread_gap_cap),
     # the Hilbert-Schmidt bounds compare squared norms: power 2
     "hs_gap_ratio": Certifier(
-        "check_hs_gap_ratio", _then(_spd_pair_x, _ordered("v", "tau")),
+        _then(_spd_pair_x, _ordered("v", "tau")),
         row=lambda p: (p["v"], p["tau"], 2.0), sweep_draw=_spd_pair_x, sweep_cell=_cell("v", "tau"),
     ),
-    "hs_agh_chain": Certifier("check_hs_agh_chain", _then(_spd_pair_x, _v(endpoints=True))),
+    "hs_agh_chain": Certifier(_then(_spd_pair_x, _v(endpoints=True))),
     "hs_half_weight_gap": Certifier(
-        "check_hs_half_weight_gap", _then(_spd_pair_x, _v(0.02, 0.5)),
-        row=lambda p: (p["v"], None, 2.0),
+        _then(_spd_pair_x, _v(0.02, 0.5)), row=lambda p: (p["v"], None, 2.0)
     ),
-    "det_power_order": Certifier("check_det_power_order", _then(_spd_pair, _v_power)),
-    "minkowski_products": Certifier("check_minkowski_products", _draw_minkowski),
-    "power_difference": Certifier("check_power_difference", _draw_power_difference),
+    "det_power_order": Certifier(_then(_spd_pair, _v_power)),
+    "minkowski_products": Certifier(_draw_minkowski),
+    "power_difference": Certifier(_draw_power_difference),
     "det_root_gap": Certifier(
-        "check_det_root_gap", _then(_spd_pair, _ordered("v", "tau", "lam")),
+        _then(_spd_pair, _ordered("v", "tau", "lam")),
         sweep_draw=_spd_pair, sweep_cell=_cell("v", "tau", "lam"),
     ),
-    "det_gap": Certifier("check_det_gap", _then(_spd_pair, _ordered("v", "tau"))),
+    "det_gap": Certifier(_then(_spd_pair, _ordered("v", "tau"))),
     "det_half_weight_gap": Certifier(
-        "check_det_half_weight_gap", _then(_spd_pair, _v(0.0, 0.5, endpoints=True)),
-        row=lambda p: (p["v"], 0.5, None),
+        _then(_spd_pair, _v(0.0, 0.5, endpoints=True)), row=lambda p: (p["v"], 0.5, None)
     ),
 }
 
@@ -269,9 +265,9 @@ def check_dims(dims, name: str = "dims"):
         raise ConfigError(f"{name} must be a nonempty list within [{lo}, {hi}]")
 
 
-def _check(entry: Certifier, operands: tuple, params: dict, tol_scale: float) -> CertificateReport:
+def _check(ineq: str, operands: tuple, params: dict, tol_scale: float) -> CertificateReport:
     # looked up per call, so a wrapper set on the certifiers module is seen
-    return getattr(certifiers, entry.check)(*operands, **params, tol_scale=tol_scale)
+    return getattr(certifiers, f"check_{ineq}")(*operands, **params, tol_scale=tol_scale)
 
 
 def _record(ineq: str, dim: int, cap: float, trial_index: int, row: tuple, report) -> TrialRecord:
@@ -293,7 +289,7 @@ def run_trial(cfg: RunConfig, inequality_id: str, local_index: int) -> TrialReco
     cap = cfg.cond_caps[(local_index // len(cfg.dims)) % len(cfg.cond_caps)]
     entry = CERTIFIERS[inequality_id]
     operands, params = entry.draw(rng, dim, cap)
-    report = _check(entry, operands, params, cfg.tolerance_scale)
+    report = _check(inequality_id, operands, params, cfg.tolerance_scale)
     return _record(inequality_id, dim, cap, local_index, entry.row(params), report)
 
 
@@ -301,7 +297,21 @@ def _failed(label: str, exc: MeanCertError) -> TrialFailed:
     return TrialFailed(f"trial {label} failed: {type(exc).__name__}: {exc}")
 
 
-def _run_task(task) -> TrialRecord:
+def _run(cfg: RunConfig, task_fn: Callable, tasks) -> list[TrialRecord]:
+    """``task_fn`` of each task, in task order: in this process, or on
+    ``cfg.workers`` pool processes, with BLAS held to one thread either way.
+
+    The first task to raise, in task order, raises here whatever the worker
+    count.
+    """
+    with blas.one_thread():
+        if cfg.workers == 1:
+            return [task_fn(task) for task in tasks]
+        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=blas.pin_one_thread) as pool:
+            return list(pool.map(task_fn, tasks, chunksize=64))
+
+
+def _verify_task(task) -> TrialRecord:
     cfg, ineq, idx = task
     try:
         return run_trial(cfg, ineq, idx)
@@ -316,19 +326,12 @@ def run_verify(cfg: RunConfig) -> tuple[list[TrialRecord], dict]:
     Raises :class:`TrialFailed` for the first failed trial in selection
     order, then trial order, whatever the worker count.
     """
-    tasks = [
+    tasks = (
         (cfg, ineq, idx)
         for ineq in cfg.inequality_selection
         for idx in range(cfg.trials_per_inequality)
-    ]
-    with blas.one_thread():
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(
-                max_workers=cfg.workers, initializer=blas.pin_one_thread
-            ) as pool:
-                records = list(pool.map(_run_task, tasks, chunksize=64))
-        else:
-            records = [_run_task(t) for t in tasks]
+    )
+    records = _run(cfg, _verify_task, tasks)
     records.sort(key=lambda r: (CANONICAL_IDS.index(r.inequality_id), r.trial_index))
     return records, summarize(records)
 
@@ -439,7 +442,19 @@ def summary_table(summaries: dict) -> str:
 
 def _sweep_report(select, rng, dim, cap, v, tau, lam, tol_scale) -> CertificateReport:
     entry = CERTIFIERS[select]
-    return _check(entry, entry.sweep_draw(rng, dim, cap), entry.sweep_cell(v, tau, lam), tol_scale)
+    return _check(select, entry.sweep_draw(rng, dim, cap), entry.sweep_cell(v, tau, lam), tol_scale)
+
+
+def _sweep_task(task) -> TrialRecord:
+    """Trial ``t`` of the ``kept_rank``-th kept grid cell."""
+    cfg, select, kept_rank, (v, tau, lam, dim), t = task
+    rng = SeedPath(cfg.master_seed, kept_rank * cfg.trials_per_inequality + t).rng()
+    cap = cfg.cond_caps[t % len(cfg.cond_caps)]
+    try:
+        report = _sweep_report(select, rng, dim, cap, v, tau, lam, cfg.tolerance_scale)
+    except MeanCertError as exc:
+        raise _failed(f"{select}[v={v!r} tau={tau!r} lambda={lam!r} dim={dim}]:{t}", exc) from exc
+    return _record(select, dim, cap, t, (v, tau, lam), report)
 
 
 def run_sweep(cfg: RunConfig, grid: dict, select: str) -> tuple[list[TrialRecord], int]:
@@ -457,27 +472,18 @@ def run_sweep(cfg: RunConfig, grid: dict, select: str) -> tuple[list[TrialRecord
     check_dims(dims, "grid dims")
     cells = [(v, tau, lam, dim) for v in vs for tau in taus for lam in lams for dim in dims]
     sweep_cell = CERTIFIERS[select].sweep_cell
-    records: list[TrialRecord] = []
-    skipped = 0
-    kept_rank = 0
-    with blas.one_thread():
-        for v, tau, lam, dim in cells:
-            if not (0 < v < 1 and 0 < tau < 1) or sweep_cell(v, tau, lam) is None:
-                skipped += 1
-                continue
-            for t in range(cfg.trials_per_inequality):
-                rng = SeedPath(cfg.master_seed, kept_rank * cfg.trials_per_inequality + t).rng()
-                cap = cfg.cond_caps[t % len(cfg.cond_caps)]
-                try:
-                    report = _sweep_report(select, rng, dim, cap, v, tau, lam, cfg.tolerance_scale)
-                except MeanCertError as exc:
-                    cell = f"v={v!r} tau={tau!r} lambda={lam!r} dim={dim}"
-                    raise _failed(f"{select}[{cell}]:{t}", exc) from exc
-                records.append(_record(select, dim, cap, t, (v, tau, lam), report))
-            kept_rank += 1
-    if kept_rank == 0:
+    kept = [
+        (v, tau, lam, dim) for v, tau, lam, dim in cells
+        if 0 < v < 1 and 0 < tau < 1 and sweep_cell(v, tau, lam) is not None
+    ]
+    if not kept:
         raise ConfigError("sweep grid is empty after constraint filtering")
-    return records, skipped
+    tasks = (
+        (cfg, select, rank, cell, t)
+        for rank, cell in enumerate(kept)
+        for t in range(cfg.trials_per_inequality)
+    )
+    return _run(cfg, _sweep_task, tasks), len(cells) - len(kept)
 
 
 def sweep_json(cfg: RunConfig, select: str, records: list[TrialRecord], skipped: int) -> str:

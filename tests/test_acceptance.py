@@ -137,7 +137,7 @@ def test_criterion_2_scalar_oracle_equivalence():
                 got = list(report.margins.values())
                 assert len(got) == len(expected)
                 for g, e in zip(got, expected):
-                    assert abs(g - e) <= 1e-10, (report.inequality_id, g, e)
+                    assert abs(g - e) <= 1e-10, (report.margins, g, e)
                 assert report.verdict == ("pass" if min(expected) >= -report.tol_used else "fail")
                 checked += 1
         assert checked == per_family * 11

@@ -7,6 +7,7 @@ import pytest
 from meancert import (
     BoundsHypothesis,
     HypothesisViolated,
+    PowerOverflow,
     RequiresOrdered,
     ScalarPair,
     SpdMatrix,
@@ -20,7 +21,7 @@ from meancert import (
     check_hs_agh_chain,
     check_hs_gap_ratio,
     check_hs_half_weight_gap,
-    check_inverse_convexity_gap,
+    check_inverse_convexity,
     check_matrix_agh,
     check_matrix_gap_ratio,
     check_matrix_half_weight_gap,
@@ -46,7 +47,7 @@ def spd_pair(seed, n, lo=1e-1, hi=1e1):
 
 def test_report_invariant_requires_witness_on_failure():
     with pytest.raises(ValueError):
-        CertificateReport("x", holds=False, margins={"m": -1.0}, tol_used=0.0)
+        CertificateReport(holds=False, margins={"m": -1.0}, tol_used=0.0)
 
 
 class TestScalarAgh:
@@ -172,7 +173,7 @@ class TestHalfWeightGap:
 
 class TestInverseConvexityGap:
     def test_frozen_values(self):
-        rep = check_inverse_convexity_gap(ScalarPair(1.0, 2.0), 0.5)
+        rep = check_inverse_convexity(ScalarPair(1.0, 2.0), 0.5)
         mid = 0.5 + 0.25 - 1 / 1.5
         assert mid == pytest.approx(1.0 / 12)
         assert rep.margins["above_lower"] == pytest.approx(mid - 1.0 / 32)
@@ -180,14 +181,14 @@ class TestInverseConvexityGap:
 
     def test_requires_ordered(self):
         with pytest.raises(RequiresOrdered):
-            check_inverse_convexity_gap(ScalarPair(2.0, 1.0), 0.5)
+            check_inverse_convexity(ScalarPair(2.0, 1.0), 0.5)
 
     def test_near_equal_degenerate(self):
-        rep = check_inverse_convexity_gap(ScalarPair(1.0, 1.0 + 1e-10), 0.5)
+        rep = check_inverse_convexity(ScalarPair(1.0, 1.0 + 1e-10), 0.5)
         assert rep.degenerate
 
     def test_small_weight_vanishes(self):
-        rep = check_inverse_convexity_gap(ScalarPair(1.0, 2.0), 1e-9)
+        rep = check_inverse_convexity(ScalarPair(1.0, 2.0), 1e-9)
         assert rep.holds
         assert rep.margins["below_upper"] == pytest.approx(0.0, abs=1e-8)
 
@@ -282,7 +283,6 @@ class TestMatrixHalfWeightGap:
     def test_half_weight_zero_margins(self):
         a, b = spd_pair(11, 3)
         rep = check_matrix_half_weight_gap(a, b, 0.5)
-        assert rep.inequality_id == "matrix_half_weight_gap"
         for m in rep.margins.values():
             assert m == pytest.approx(0.0, abs=1e-12)
 
@@ -467,6 +467,18 @@ class TestDeterminantChecks:
     def test_power_difference_requires_order(self):
         with pytest.raises(RequiresOrdered):
             check_power_difference(1.0, 3.0, 2.0)
+
+    def test_power_difference_overflow_is_typed(self):
+        # 10 ** 400 exceeds double precision: PowerOverflow, not a bare OverflowError
+        with pytest.raises(PowerOverflow):
+            check_power_difference(10.0, 1.0, 400.0)
+
+    def test_det_root_gap_overflow_is_typed(self, recwarn):
+        # 750.25 ** 300 exceeds double precision: PowerOverflow, not a nan margin read as fail
+        one, big = SpdMatrix(np.eye(1)), SpdMatrix(np.diag([1e3]))
+        with pytest.raises(PowerOverflow):
+            check_det_root_gap(one, big, 0.25, 0.5, 300.0)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_det_root_gap_degenerate_on_equal(self):
         a, _ = spd_pair(21, 3)

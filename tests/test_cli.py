@@ -272,6 +272,23 @@ class TestTrialFailure:
         assert not out.exists()
 
 
+    def test_sweep_det_root_gap_overflow_exits_three(self, tmp_path, capsys, recwarn):
+        # det(.)^(lam/n) exceeds double precision: a typed failure, not nan margins read as fail
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("v = 0.25\ntau = 0.5\nlambda = 300\ndim = 1\n")
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            ["sweep", "--grid", str(grid), "--select", "det_root_gap", "--trials", "50",
+             "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "trial det_root_gap[v=0.25 tau=0.5 lambda=300.0 dim=1]:2 failed: PowerOverflow" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestSweepCommand:
     def grid_file(self, tmp_path, text):
         path = tmp_path / "grid.cfg"
@@ -347,6 +364,22 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
+    def test_csv_failures_write_witness_sidecar(self, tmp_path, monkeypatch):
+        from meancert import means
+
+        # a harmonic mean in place of the gap breaks the gap-ratio upper bound
+        monkeypatch.setattr(means, "gap_map", means.harm_map)
+        grid = self.grid_file(tmp_path, "v = 0.25\ntau = 0.5\ndim = 3\n")
+        out = tmp_path / "bad.csv"
+        code = run_cli(
+            ["sweep", "--grid", grid, "--select", "matrix_gap_ratio", "--trials", "4",
+             "--seed", "5", "--out", str(out)]
+        )
+        assert code == 1
+        failed = [row.split(",")[6] for row in out.read_text().split("\n") if ",fail," in row]
+        sidecar = json.loads((tmp_path / "bad.csv.witnesses.json").read_text())
+        assert failed and set(sidecar["witnesses"]) == {f"matrix_gap_ratio:{t}" for t in failed}
+
     def test_byte_identical_reruns(self, tmp_path):
         # the same sweep written to two paths: the bytes must not echo the path
         grid = self.grid_file(tmp_path, "v = 0.2\ntau = 0.6\nlambda = 1, 2\ndim = 2, 3\n")
@@ -421,10 +454,17 @@ class TestProbeCommand:
         assert run_cli(["frobnicate"]) == 2
 
 
+def test_each_certifier_id_names_its_check():
+    # certifiers.check_<id> is the check of table entry <id>, and every check has an entry
+    checks = {name for name in dir(certifiers) if name.startswith("check_")}
+    assert checks == {f"check_{ineq}" for ineq in runner.CERTIFIERS}
+    assert all(callable(getattr(certifiers, name)) for name in checks)
+
+
 @pytest.mark.parametrize("ineq", CANONICAL_IDS)
 def test_margin_columns_follow_the_report(monkeypatch, ineq):
     # the CSV has two margin columns, so a third margin would be dropped silently
-    check = runner.CERTIFIERS[ineq].check
+    check = f"check_{ineq}"
     original, reports = getattr(certifiers, check), []
 
     def capture(*args, **kwargs):

@@ -45,44 +45,47 @@ def _instance(n, cap):
 
 
 def _cases(a, b, x, ordered, v, tau, lam):
-    """(report, oracle margins) for every certifier whose domain holds (v, tau)."""
+    """Certifier id -> (report, oracle margins) for every certifier whose
+    domain holds (v, tau)."""
     lo, hi, bounds = ordered
-    out = [
-        (certifiers.check_matrix_agh(a, b, v), direct.matrix_agh_margins(a, b, v)),
-        (
+    out = {
+        "matrix_agh": (certifiers.check_matrix_agh(a, b, v), direct.matrix_agh_margins(a, b, v)),
+        "spread_gap_cap": (
             certifiers.check_spread_gap_cap(lo, hi, v, bounds),
             direct.spread_cap_margin(lo, hi, v, bounds.m, bounds.M),
         ),
-        (certifiers.check_hs_agh_chain(a, b, x, v), direct.hs_chain_margins(a, b, x, v)),
-        (certifiers.check_det_power_order(a, b, v, lam), direct.det_power_margin(a, b, v, lam)),
-    ]
+        "hs_agh_chain": (
+            certifiers.check_hs_agh_chain(a, b, x, v), direct.hs_chain_margins(a, b, x, v)
+        ),
+        "det_power_order": (
+            certifiers.check_det_power_order(a, b, v, lam), direct.det_power_margin(a, b, v, lam)
+        ),
+    }
     if 0 < v <= tau < 1:
-        out += [
-            (
-                certifiers.check_matrix_gap_ratio(a, b, v, tau),
-                direct.matrix_gap_ratio_margins(a, b, v, tau),
-            ),
-            (
-                certifiers.check_hs_gap_ratio(a, b, x, v, tau),
-                direct.hs_gap_ratio_margins(a, b, x, v, tau),
-            ),
-            (
-                certifiers.check_det_root_gap(a, b, v, tau, lam),
-                direct.det_root_margin(a, b, v, tau, lam),
-            ),
-            (certifiers.check_det_gap(a, b, v, tau), direct.det_gap_margin(a, b, v, tau)),
-        ]
+        out["matrix_gap_ratio"] = (
+            certifiers.check_matrix_gap_ratio(a, b, v, tau),
+            direct.matrix_gap_ratio_margins(a, b, v, tau),
+        )
+        out["hs_gap_ratio"] = (
+            certifiers.check_hs_gap_ratio(a, b, x, v, tau),
+            direct.hs_gap_ratio_margins(a, b, x, v, tau),
+        )
+        out["det_root_gap"] = (
+            certifiers.check_det_root_gap(a, b, v, tau, lam),
+            direct.det_root_margin(a, b, v, tau, lam),
+        )
+        out["det_gap"] = (certifiers.check_det_gap(a, b, v, tau), direct.det_gap_margin(a, b, v, tau))
     if 0 < v <= 0.5:
-        out += [
-            (
-                certifiers.check_matrix_half_weight_gap(a, b, v),
-                direct.matrix_gap_ratio_margins(a, b, v, 0.5),
-            ),
-            (certifiers.check_hs_half_weight_gap(a, b, x, v), direct.hs_half_margins(a, b, x, v)),
-        ]
+        out["matrix_half_weight_gap"] = (
+            certifiers.check_matrix_half_weight_gap(a, b, v),
+            direct.matrix_gap_ratio_margins(a, b, v, 0.5),
+        )
+        out["hs_half_weight_gap"] = (
+            certifiers.check_hs_half_weight_gap(a, b, x, v), direct.hs_half_margins(a, b, x, v)
+        )
     if 0 <= v <= 0.5:
-        out.append(
-            (certifiers.check_det_half_weight_gap(a, b, v), direct.det_gap_margin(a, b, v, 0.5))
+        out["det_half_weight_gap"] = (
+            certifiers.check_det_half_weight_gap(a, b, v), direct.det_gap_margin(a, b, v, 0.5)
         )
     return out
 
@@ -93,17 +96,17 @@ def test_certifier_margins_match_direct_route(n, cap):
     a, b, x, ordered = _instance(n, cap)
     seen = set()
     for v, tau, lam in WEIGHTS:
-        for report, expected in _cases(a, b, x, ordered, v, tau, lam):
-            seen.add(report.inequality_id)
+        for ineq, (report, expected) in _cases(a, b, x, ordered, v, tau, lam).items():
+            seen.add(ineq)
             if expected is None:
-                assert report.degenerate, report.inequality_id
+                assert report.degenerate, ineq
                 continue
-            assert not report.degenerate, report.inequality_id
+            assert not report.degenerate, ineq
             expected = (expected,) if isinstance(expected, float) else expected
             got = tuple(report.margins.values())
             assert len(got) == len(expected)
             for g, e in zip(got, expected):
-                assert abs(g - e) <= 0.5 * report.tol_used, (report.inequality_id, v, tau, g, e)
+                assert abs(g - e) <= 0.5 * report.tol_used, (ineq, v, tau, g, e)
     assert len(seen) == 11
 
 

@@ -50,6 +50,27 @@ def test_two_workers_match_one_at_dim_64(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_sweep_two_workers_match_one(tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("v = 0.25, 0.6\ntau = 0.5, 0.75\ndim = 2, 32\n")
+    outs = [tmp_path / "w1.csv", tmp_path / "w2.csv"]
+    for out, workers in zip(outs, ("1", "2")):
+        monkeypatch.setenv("MEANCERT_WORKERS", workers)
+        args = ["sweep", "--grid", str(grid), "--select", "matrix_gap_ratio", "--trials", "8",
+                "--out", str(out)]
+        assert cli.main(args) == 0
+    assert pools == [2]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 @pytest.fixture
 def control():
     """The OpenBLAS control with the caller's count set to 2, restored after."""
