@@ -580,7 +580,7 @@ def check_det_root_gap(
     with ``G_tau`` the tau-weighted gap matrix.  A numerically singular
     ``G_tau`` (the two operands nearly equal) gives a degenerate report since
     its determinant root is then meaningless.  A power that exceeds double
-    precision raises :class:`PowerOverflow`.
+    precision, or powers that all underflow to 0, raise :class:`PowerOverflow`.
     """
     _check_weight_order(v, tau)
     means.check_power(lam)
@@ -598,6 +598,8 @@ def check_det_root_gap(
         scale = float(np.exp(lam / n * ld_arith) + np.exp(lam / n * ld_harm) + t_gap)
     if not np.isfinite(scale):
         raise PowerOverflow(f"a determinant to the power {lam!r}/{n} exceeds double precision")
+    if scale == 0.0:  # every term underflowed: the margin would read 0 and pass
+        raise PowerOverflow(f"every determinant to the power {lam!r}/{n} underflows to 0")
     tol = tol_base * (scale + 1.0)
     return _finish({"det_root_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": tau, "lam": lam})
 

@@ -87,7 +87,7 @@ def _write(path: str, text: str):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_report(cfg, stem: str, records, to_json) -> tuple[str, int]:
+def _write_report(cfg, stem: str, records, to_json, sweep: bool = False) -> tuple[str, int]:
     """Write ``records`` as the CSV report, plus ``<out>.witnesses.json`` when
     a row fails, or write ``to_json()``; return the path and the failures."""
     out_path = cfg.resolved_output_path(stem)
@@ -96,7 +96,7 @@ def _write_report(cfg, stem: str, records, to_json) -> tuple[str, int]:
         _write(out_path, runner.records_to_csv(records))
         if failures:
             # the fixed CSV columns cannot carry witnesses; violations get a sidecar
-            _write(out_path + ".witnesses.json", runner.witnesses_json(records))
+            _write(out_path + ".witnesses.json", runner.witnesses_json(records, sweep))
     else:
         _write(out_path, to_json())
     return out_path, failures
@@ -118,7 +118,8 @@ def cmd_sweep(args) -> int:
     grid = read_kv_file(args.grid, GRID_PARSERS)
     records, skipped = runner.run_sweep(cfg, grid, args.select)
     out_path, failures = _write_report(
-        cfg, "sweep_report", records, lambda: runner.sweep_json(cfg, args.select, records, skipped)
+        cfg, "sweep_report", records, lambda: runner.sweep_json(cfg, args.select, records, skipped),
+        sweep=True,
     )
     print(f"skipped_cells={skipped}")
     print(f"report written to {out_path}; rows={len(records)}; failures={failures}")

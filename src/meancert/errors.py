@@ -32,7 +32,8 @@ class DegenerateInput(MeanCertError):
 
 
 class PowerOverflow(MeanCertError):
-    """A ``lam``-th power of a bound or a mean exceeds double precision."""
+    """A ``lam``-th power of a bound or a mean exceeds double precision (or,
+    where every term of a comparison underflows to 0, falls below it)."""
 
 
 class RequiresOrdered(MeanCertError):

@@ -7,12 +7,15 @@ Conventions used throughout the package:
 * :class:`HermitianMatrix` stores its entries in exactly conjugate-symmetric
   form (the constructor replaces ``M`` by ``(M + M*)/2``).
 * :class:`SpdMatrix` is a Hermitian matrix certified positive definite at
-  construction; every operation that needs invertibility takes one.
+  construction, by an eigensolve or from the spectrum it was built from
+  (:meth:`SpdMatrix.from_spectrum`); every operation that needs
+  invertibility takes one.
 * Eigenvalues are reported in non-increasing order everywhere.
 
 All operations are pure functions of their arguments and all carriers are
-immutable after construction, so everything here is safe to use from
-multiple threads.
+immutable after construction (an :class:`SpdMatrix` fills in its
+decomposition on first use, a pure function of what it was built from), so
+everything here is safe to use from multiple threads.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ RECONSTRUCTION_TOL = 1e-10
 
 #: Positive-definiteness gate: smallest eigenvalue must exceed this times ||A||_F.
 SPD_MIN_EIG_FACTOR = 1e-12
+
+#: Unit roundoff scale of float64, for the rounding term of :meth:`SpdMatrix.from_spectrum`.
+EPS = float(np.finfo(np.float64).eps)
 
 #: Base rate of every tolerance: ``TOL_RATE * tol_scale * s``, with a scale
 #: ``s >= 1`` mostly from the operands (``a + b + 1``, :func:`default_loewner_tol`).
@@ -93,27 +99,90 @@ class HermitianMatrix:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
+def _check_positive_definite(min_eig: float, norm: float):
+    """Raise :class:`NotPositiveDefinite` unless ``min_eig`` exceeds the gate
+    ``SPD_MIN_EIG_FACTOR * ||A||_F``, given ``norm = ||A||_F``."""
+    gate = SPD_MIN_EIG_FACTOR * norm
+    if not min_eig > gate:  # NaN-safe comparison
+        raise NotPositiveDefinite(
+            f"matrix is not positive definite: min eigenvalue {min_eig:.3e} "
+            f"does not exceed the gate {gate:.3e}"
+        )
+
+
 class SpdMatrix(HermitianMatrix):
     """Hermitian matrix certified positive definite at construction.
 
-    ``min_eig`` caches the smallest eigenvalue found during certification.
     Construction rejects matrices whose smallest eigenvalue does not exceed
     ``SPD_MIN_EIG_FACTOR * ||A||_F``, since every downstream use assumes a
-    stable inverse exists.
+    stable inverse exists.  ``min_eig`` caches the smallest eigenvalue as
+    certified: ``eigvalsh``'s value, or the lower bound of
+    :meth:`from_spectrum`.  :attr:`eig` is the gated eigendecomposition.
     """
 
-    __slots__ = ("min_eig",)
+    __slots__ = ("min_eig", "_eig", "_drawn")
 
     def __init__(self, entries):
         super().__init__(entries)
         w = np.linalg.eigvalsh(self.mat)
-        gate = SPD_MIN_EIG_FACTOR * float(np.linalg.norm(self.mat))
-        if not w[0] > gate:
-            raise NotPositiveDefinite(
-                f"matrix is not positive definite: min eigenvalue {w[0]:.3e} "
-                f"does not exceed the gate {gate:.3e}"
-            )
+        _check_positive_definite(w[0], float(np.linalg.norm(self.mat)))
         self.min_eig = float(w[0])
+        self._eig = None
+        self._drawn = None
+
+    @classmethod
+    def from_spectrum(cls, u, w) -> SpdMatrix:
+        """``U diag(w) U*`` for a unitary ``u`` and a real spectrum ``w`` (in any
+        order), certified from ``(u, w)`` rather than by an eigensolve.
+
+        The stored matrix is the product as formed, symmetrized as the
+        constructor does.  ``(u, w)`` must pass :func:`eig_hermitian`'s
+        quality gates against it, and becomes :attr:`eig`.  ``min_eig`` is
+        the lower bound ``(1 - defect) min(w) - resid - (n + 2) eps max(w)``
+        on the smallest eigenvalue, and must exceed the constructor's gate:
+        by Ostrowski's theorem the eigenvalues of the exact ``U W U*`` are
+        ``theta w_k`` with ``theta >= sigma_min(U)^2 >= 1 - defect``, and by
+        Weyl's the stored matrix moves them by at most ``resid`` plus the
+        rounding of the product and of ``defect``, ``(n + 2) eps max(w)`` to
+        first order (one rounding per term of a length-``n`` inner product).
+
+        Raises
+        ------
+        ConvergenceFailure
+            If ``(u, w)`` misses a quality gate (``u`` is not unitary).
+        NotPositiveDefinite
+            If the bound does not exceed ``SPD_MIN_EIG_FACTOR * ||A||_F``.
+        """
+        u = np.array(u, dtype=np.complex128)
+        w = np.array(w, dtype=np.float64)
+        n = w.size
+        if w.shape != (n,) or u.shape != (n, n) or n < 1:
+            raise DimensionMismatch(f"expected n x n and n values, got {u.shape}, {w.shape}")
+        product = (u * w) @ u.conj().T
+        mat = (product + product.conj().T) / 2.0
+        defect, resid, norm = _quality_gates(mat, u, product)
+        lower = (1.0 - defect) * float(w.min()) - resid - (n + 2) * EPS * float(w.max())
+        _check_positive_definite(lower, norm)
+        self = cls.__new__(cls)
+        self.mat = _read_only(mat)
+        self.min_eig = lower
+        self._eig = None
+        self._drawn = (_read_only(u), _read_only(w))
+        return self
+
+    @property
+    def eig(self) -> EigenDecomposition:
+        """The gated eigendecomposition, eigenvalues non-increasing:
+        :func:`eig_hermitian`'s, or a :meth:`from_spectrum` matrix's
+        ``(u, w)`` sorted; either is formed on first use."""
+        if self._eig is None:
+            if self._drawn is None:
+                self._eig = eig_hermitian(self)
+            else:
+                u, w = self._drawn
+                order = np.argsort(-w, kind="stable")
+                self._eig = EigenDecomposition(_read_only(u[:, order]), _read_only(w[order]))
+        return self._eig
 
 
 @dataclass(frozen=True)
@@ -167,17 +236,31 @@ def eig_hermitian(h: HermitianMatrix) -> EigenDecomposition:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     w = w[::-1].copy()
     u = u[:, ::-1].copy()
-    n = h.dim
+    _quality_gates(h.mat, u, (u * w) @ u.conj().T)
+    return EigenDecomposition(unitary=_read_only(u), eigenvalues=_read_only(w))
+
+
+def _quality_gates(
+    mat: np.ndarray, u: np.ndarray, product: np.ndarray
+) -> tuple[float, float, float]:
+    """Raise :class:`ConvergenceFailure` unless a decomposition ``(u, w)`` of
+    ``mat``, with ``product`` the formed ``U diag(w) U*``, passes both quality
+    gates of :func:`eig_hermitian`; return ``(defect, resid, ||mat||_F)``."""
+    n = mat.shape[0]
     defect = float(np.linalg.norm(u @ u.conj().T - np.eye(n)))
     if not defect <= UNITARITY_TOL * n:  # NaN-safe comparison
         raise ConvergenceFailure(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL * n:.3e}")
-    resid = float(np.linalg.norm(h.mat - (u * w) @ u.conj().T))
-    bound = RECONSTRUCTION_TOL * max(1.0, float(np.linalg.norm(h.mat)))
+    resid = float(np.linalg.norm(mat - product))
+    norm = float(np.linalg.norm(mat))
+    bound = RECONSTRUCTION_TOL * max(1.0, norm)
     if not resid <= bound:
         raise ConvergenceFailure(f"reconstruction error {resid:.3e} exceeds {bound:.3e}")
-    w.setflags(write=False)
-    u.setflags(write=False)
-    return EigenDecomposition(unitary=u, eigenvalues=w)
+    return defect, resid, norm
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def matrix_power(p: SpdMatrix, r: float) -> SpdMatrix:

@@ -392,10 +392,10 @@ class OneSidedPair:
 
 
 def one_sided_pair(a: SpdMatrix, b: SpdMatrix, x) -> OneSidedPair:
-    """One gated eigendecomposition each of ``A`` and ``B``, and ``Y = U* X V``."""
+    """The gated eigendecompositions of ``A`` and ``B`` (:attr:`SpdMatrix.eig`:
+    for sampled operands, the drawn ones), and ``Y = U* X V``."""
     xm = _check_x(a, b, x)
-    da = eig_hermitian(a)
-    db = eig_hermitian(b)
+    da, db = a.eig, b.eig
     return OneSidedPair(da, db, da.unitary.conj().T @ xm @ db.unitary)
 
 

@@ -336,12 +336,26 @@ def run_verify(cfg: RunConfig) -> tuple[list[TrialRecord], dict]:
     return records, summarize(records)
 
 
-def summarize(records: list[TrialRecord]) -> dict:
-    """Per-inequality tallies; trials = passes + failures + degenerate."""
+def _cell_label(ineq: str, v, tau, lam, dim: int) -> str:
+    """The sweep grid cell of a trial label: ``<id>[v=… tau=… lambda=… dim=…]``."""
+    return f"{ineq}[v={v!r} tau={tau!r} lambda={lam!r} dim={dim}]"
+
+
+def _ref(r: TrialRecord, sweep: bool) -> str:
+    """The label of a record's trial, as :class:`TrialFailed` names it:
+    ``<id>:<trial>``, or in a sweep, whose trial index restarts in every
+    grid cell, ``<cell>:<trial>`` (:func:`_cell_label`)."""
+    head = _cell_label(r.inequality_id, r.v, r.tau, r.lam, r.dim) if sweep else r.inequality_id
+    return f"{head}:{r.trial_index}"
+
+
+def summarize(records: list[TrialRecord], sweep: bool = False) -> dict:
+    """Per-inequality tallies; trials = passes + failures + degenerate.
+    ``failures`` lists the failing trials' labels (:func:`_ref`)."""
     summaries: dict[str, dict] = {}
     for ineq in dict.fromkeys(r.inequality_id for r in records):
         rows = [r for r in records if r.inequality_id == ineq]
-        failures = [f"{r.inequality_id}:{r.trial_index}" for r in rows if r.verdict == "fail"]
+        failures = [_ref(r, sweep) for r in rows if r.verdict == "fail"]
         degenerate = sum(1 for r in rows if r.degenerate)
         margins = []
         per_trial_min = []
@@ -401,25 +415,21 @@ def records_to_csv(records: list[TrialRecord]) -> str:
     return _csv(CSV_COLUMNS, map(attrgetter(*names), records))
 
 
-def _witness_map(records: list[TrialRecord]) -> dict:
-    return {
-        f"{r.inequality_id}:{r.trial_index}": r.witness
-        for r in records
-        if r.witness is not None
-    }
+def _witness_map(records: list[TrialRecord], sweep: bool) -> dict:
+    return {_ref(r, sweep): r.witness for r in records if r.witness is not None}
 
 
 def _report_json(**payload) -> str:
     return json.dumps({"spec_version": REPORT_SCHEMA_VERSION, **payload}, indent=2) + "\n"
 
 
-def witnesses_json(records: list[TrialRecord]) -> str:
-    return _report_json(witnesses=_witness_map(records))
+def witnesses_json(records: list[TrialRecord], sweep: bool = False) -> str:
+    return _report_json(witnesses=_witness_map(records, sweep))
 
 
 def suite_json(cfg: RunConfig, summaries: dict, records: list[TrialRecord]) -> str:
     return _report_json(
-        config=config_echo(cfg), summaries=summaries, witnesses=_witness_map(records)
+        config=config_echo(cfg), summaries=summaries, witnesses=_witness_map(records, False)
     )
 
 
@@ -453,7 +463,7 @@ def _sweep_task(task) -> TrialRecord:
     try:
         report = _sweep_report(select, rng, dim, cap, v, tau, lam, cfg.tolerance_scale)
     except MeanCertError as exc:
-        raise _failed(f"{select}[v={v!r} tau={tau!r} lambda={lam!r} dim={dim}]:{t}", exc) from exc
+        raise _failed(f"{_cell_label(select, v, tau, lam, dim)}:{t}", exc) from exc
     return _record(select, dim, cap, t, (v, tau, lam), report)
 
 
@@ -489,7 +499,7 @@ def run_sweep(cfg: RunConfig, grid: dict, select: str) -> tuple[list[TrialRecord
 def sweep_json(cfg: RunConfig, select: str, records: list[TrialRecord], skipped: int) -> str:
     return _report_json(
         config=config_echo(cfg), selection=select, skipped_cells=skipped,
-        summaries=summarize(records), witnesses=_witness_map(records),
+        summaries=summarize(records, sweep=True), witnesses=_witness_map(records, True),
     )
 
 

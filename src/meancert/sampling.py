@@ -108,11 +108,12 @@ def _draw_spectrum(spec: SpectrumSpec, rng: np.random.Generator) -> np.ndarray:
 
 def random_spd(spec: SpectrumSpec, seed) -> SpdMatrix:
     """Random positive definite matrix with spectrum drawn per ``spec``,
-    conjugated by a random unitary."""
+    conjugated by a random unitary: certified from the drawn ``(u, w)``
+    (:meth:`SpdMatrix.from_spectrum`), which it carries as its decomposition."""
     rng = _rng(seed)
     w = _draw_spectrum(spec, rng)
     u = random_unitary(spec.dim, rng)
-    return SpdMatrix((u * w) @ u.conj().T)
+    return SpdMatrix.from_spectrum(u, w)
 
 
 def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, SpdMatrix]:

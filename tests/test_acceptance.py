@@ -32,7 +32,7 @@ from meancert.sampling import SeedPath, random_ordered_pair
 
 
 #: SHA-256 of the default verify CSV at seed 20260808 (under PINNED_NUMPY).
-DEFAULT_VERIFY_SHA256 = "acab881b499e7b35af9fce63a48bf86947af6b3fa3652ee81b994c2c5abf78df"
+DEFAULT_VERIFY_SHA256 = "e6390982a104fe352e82000080b9ce55bd2f083b1fb74fe1f1ddfa139e6cf479"
 
 
 @contextlib.contextmanager

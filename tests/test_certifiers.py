@@ -480,6 +480,14 @@ class TestDeterminantChecks:
             check_det_root_gap(one, big, 0.25, 0.5, 300.0)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_det_root_gap_underflow_is_typed(self, recwarn):
+        # every power rounds to 0 (0.00175 ** 300 is below 1e-800): PowerOverflow,
+        # not a margin of exactly 0 read as pass
+        small, twice = SpdMatrix(np.diag([1e-3])), SpdMatrix(np.diag([2e-3]))
+        with pytest.raises(PowerOverflow, match="underflow"):
+            check_det_root_gap(small, twice, 0.25, 0.5, 300.0)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_det_root_gap_degenerate_on_equal(self):
         a, _ = spd_pair(21, 3)
         assert check_det_root_gap(a, a, 0.25, 0.5, 1.0).degenerate

@@ -378,7 +378,32 @@ class TestSweepCommand:
         assert code == 1
         failed = [row.split(",")[6] for row in out.read_text().split("\n") if ",fail," in row]
         sidecar = json.loads((tmp_path / "bad.csv.witnesses.json").read_text())
-        assert failed and set(sidecar["witnesses"]) == {f"matrix_gap_ratio:{t}" for t in failed}
+        cell = "matrix_gap_ratio[v=0.25 tau=0.5 lambda=1.0 dim=3]"
+        assert failed and set(sidecar["witnesses"]) == {f"{cell}:{t}" for t in failed}
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    def test_failures_in_two_cells_keep_every_witness(self, tmp_path, monkeypatch, fmt):
+        from meancert import means
+
+        # a sweep's trial index restarts in every cell: refs carry the cell
+        monkeypatch.setattr(means, "gap_map", means.harm_map)
+        grid = self.grid_file(tmp_path, "v = 0.25, 0.3\ntau = 0.5\ndim = 3\n")
+        out = tmp_path / f"bad.{fmt}"
+        args = ["sweep", "--grid", grid, "--select", "matrix_gap_ratio", "--trials", "10",
+                "--seed", "5", "--format", fmt, "--out", str(out)]
+        assert run_cli(args) == 1
+        if fmt == "json":
+            payload = json.loads(out.read_text())
+            refs = payload["summaries"]["matrix_gap_ratio"]["failures"]
+        else:
+            payload = json.loads((tmp_path / "bad.csv.witnesses.json").read_text())
+            rows = [row.split(",") for row in out.read_text().split("\n") if ",fail," in row]
+            refs = [f"matrix_gap_ratio[v={r[2]} tau=0.5 lambda=1.0 dim=3]:{r[6]}" for r in rows]
+        assert len(refs) == 12 and len(set(refs)) == 12
+        assert set(payload["witnesses"]) == set(refs)
+        assert {ref.split("]")[0] for ref in refs} == {
+            f"matrix_gap_ratio[v={v} tau=0.5 lambda=1.0 dim=3" for v in (0.25, 0.3)
+        }
 
     def test_byte_identical_reruns(self, tmp_path):
         # the same sweep written to two paths: the bytes must not echo the path
@@ -489,7 +514,7 @@ PINNED_NUMPY = "2.4.6"
 SWEEP_PINS = {
     "gap_ratio": "b27a652a95d85a5d3fae7d01fca17dc16cc56379dc77dd2cb1a26d5576906244",
     "matrix_gap_ratio": "f01ce9b9e6f0df3dc018ea4677896782fbc60cf06ef3aeba16074ff542c7cf0b",
-    "hs_gap_ratio": "35ab02670a95bd87af471e22d3e6fe1b3e25a5d1ab24ff7f8463285339dcc918",
+    "hs_gap_ratio": "b62123fc8d9644e587452795db122b2ab653ccd9d7bd7ed7ebc18fc652280f40",
     "det_root_gap": "b191f3a3637167b2ecbe11dd6d6d1eb3354a2f4935848728182edcdee66e5f9f",
 }
 #: SHA-256 of probe reports, keyed by the probe flags and the report format.

@@ -12,12 +12,14 @@ import pytest
 import direct_oracles as direct
 from meancert import (
     BoundsHypothesis,
+    RunConfig,
     HermitianMatrix,
     IllConditioned,
     SpdMatrix,
     certifiers,
     logdet_spd,
     means,
+    runner,
 )
 from meancert.sampling import (
     SeedPath,
@@ -151,3 +153,22 @@ def test_indefinite_operands_raise_ill_conditioned():
         means.spectral_pair(spd, indefinite)
     with pytest.raises(IllConditioned):
         logdet_spd(indefinite)
+
+
+@pytest.mark.parametrize("ineq", ("hs_gap_ratio", "hs_agh_chain", "hs_half_weight_gap"))
+def test_hs_margins_from_drawn_decomposition_match_eig_hermitian(ineq, monkeypatch):
+    # every HS trial of the default verify, first on the drawn (u, w), then on
+    # operands rebuilt by the constructor, whose decomposition is eig_hermitian's
+    cfg = RunConfig()
+    drawn = [runner.run_trial(cfg, ineq, i) for i in range(cfg.trials_per_inequality)]
+    monkeypatch.setattr(
+        SpdMatrix, "from_spectrum", classmethod(lambda cls, u, w: cls((u * w) @ u.conj().T))
+    )
+    for got in drawn:
+        want = runner.run_trial(cfg, ineq, got.trial_index)
+        assert got.verdict == want.verdict, got.trial_index
+        for key in ("margin_lower", "margin_upper"):
+            g, w = getattr(got, key), getattr(want, key)
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert abs(g - w) <= 1e-3 * want.tol, (got.trial_index, key, g, w)

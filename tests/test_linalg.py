@@ -7,6 +7,7 @@ from meancert import (
     DimensionMismatch,
     HermitianMatrix,
     IllConditioned,
+    NotPositiveDefinite,
     SpdMatrix,
     complex_matrix,
     det_hermitian,
@@ -17,7 +18,7 @@ from meancert import (
     logdet_spd,
     matrix_power,
 )
-from meancert.sampling import SeedPath
+from meancert.sampling import SeedPath, SpectrumSpec, random_spd, random_unitary
 
 
 def test_complex_matrix_validation():
@@ -43,6 +44,70 @@ def test_spd_gate_rejects_indefinite():
     with pytest.raises(ValueError):
         SpdMatrix(np.zeros((2, 2)))
     assert SpdMatrix(np.eye(3)).min_eig == pytest.approx(1.0)
+
+
+class TestFromSpectrum:
+    @pytest.mark.parametrize("cap", (1e2, 1e4, 1e6, 1e8, 1e10))
+    def test_lower_bound_below_smallest_eigenvalue(self, cap):
+        for n in range(1, 65):
+            dist = ("log-uniform", "clustered")[n % 2]
+            spec = SpectrumSpec(n, 1 / np.sqrt(cap), np.sqrt(cap), dist)
+            p = random_spd(spec, SeedPath(int(np.log10(cap)), n))
+            assert 0 < p.min_eig <= np.linalg.eigvalsh(p.mat)[0], (n, cap)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_lower_bound_below_exact_smallest_eigenvalue(self, n):
+        # eigvalsh is itself off by a few eps max(w); 40 digits are not
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        for k in range(100):
+            cap = (1e2, 1e6, 1e10)[k % 3]
+            dist = ("log-uniform", "clustered")[k % 2]
+            p = random_spd(SpectrumSpec(n, 1 / np.sqrt(cap), np.sqrt(cap), dist), SeedPath(91, k))
+            exact = mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in p.mat])
+            lam_min = min(mp.eighe(exact, eigvals_only=True)) if n > 1 else exact[0, 0].real
+            assert mp.mpf(p.min_eig) <= lam_min, (n, k)
+
+    def test_spectrum_under_gate_rejected(self):
+        for w in ([1.0, 1e-13], [1.0, 0.0], [1.0, -1.0]):
+            with pytest.raises(NotPositiveDefinite):
+                SpdMatrix.from_spectrum(np.eye(2), w)
+
+    def test_non_unitary_rejected(self):
+        u = random_unitary(4, SeedPath(3, 1))
+        for bad in (2 * u, u + 1e-9):
+            with pytest.raises(ConvergenceFailure):
+                SpdMatrix.from_spectrum(bad, [4.0, 3.0, 2.0, 1.0])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            SpdMatrix.from_spectrum(np.eye(3), [1.0, 2.0])
+
+    def test_stores_the_constructors_matrix(self):
+        u = random_unitary(5, SeedPath(3, 2))
+        w = np.array([0.5, 3.0, 1.0, 2.0, 0.1])
+        p = SpdMatrix.from_spectrum(u, w)
+        assert np.array_equal(p.mat, SpdMatrix((u * w) @ u.conj().T).mat)
+        assert not p.mat.flags.writeable
+
+    def test_eig_is_the_sorted_drawn_decomposition(self):
+        u = random_unitary(5, SeedPath(3, 3))
+        w = np.array([0.5, 3.0, 1.0, 2.0, 0.1])
+        dec = SpdMatrix.from_spectrum(u, w).eig
+        order = [1, 3, 2, 0, 4]
+        assert np.array_equal(dec.eigenvalues, w[order])
+        assert np.array_equal(dec.unitary, u[:, order])
+        assert not dec.unitary.flags.writeable and not dec.eigenvalues.flags.writeable
+
+    def test_entries_eig_matches_eig_hermitian(self):
+        for k in range(16):
+            n = k % 8 + 1
+            entries = random_spd(SpectrumSpec(n, 1e-2, 1e2), SeedPath(9, k)).mat
+            p = SpdMatrix(entries)
+            got, want = p.eig, eig_hermitian(entries)
+            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            assert np.array_equal(got.unitary, want.unitary)
+            assert p.eig is got  # computed once
 
 
 class TestEig:
