@@ -139,6 +139,43 @@ def _gap_ratio_bounds(v: float, tau: float, lam: float) -> tuple[float, float]:
         raise PowerOverflow(f"((1-v)/(1-tau)) ** {lam!r} exceeds double precision") from exc
 
 
+# Each inequality once, elementwise in (x, y): scalar checks evaluate it at (a, b), two-sided
+# matrix checks at (1, mu) and take the congruence's smallest eigenvalue, and Hilbert-Schmidt
+# checks sum it (at power 2) over the (alpha_i, beta_j) grid with weights |y_ij|^2.
+
+
+def _agh_sides(v: float, x, y, power: int = 1):
+    """Sides ``(G^p - H^p, A^p - G^p)`` of the chain ``H_v <= G_v <= A_v``
+    for ``p`` 1 or 2, a difference of squares taken as ``(G - H)(G + H)``."""
+    arith, geo, harm = means.arith_map(v, x, y), means.geo_map(v, x, y), means.harm_map(v, x, y)
+    if power == 1:
+        return geo - harm, arith - geo
+    return (geo - harm) * (geo + harm), (arith - geo) * (arith + geo)
+
+
+def _gap_power(w: float, x, y, power: int):
+    """``A_w^p - H_w^p`` for ``p`` 1 or 2: the gap, or the gap times ``A_w + H_w``."""
+    gap = means.gap_map(w, x, y)
+    return gap if power == 1 else gap * (means.arith_map(w, x, y) + means.harm_map(w, x, y))
+
+
+def _gap_ratio_sides(v: float, tau: float, x, y, power: int = 1):
+    """Sides of ``(v/tau)^p P_tau <= P_v <= ((1-v)/(1-tau))^p P_tau`` with
+    ``P_w = A_w^p - H_w^p``, and the ``P_tau`` they compare against."""
+    p_v, p_tau = _gap_power(v, x, y, power), _gap_power(tau, x, y, power)
+    return p_v - (v / tau) ** power * p_tau, ((1 - v) / (1 - tau)) ** power * p_tau - p_v, p_tau
+
+
+def _cap_factor(v: float, spread: float) -> float:
+    """``v(1-v)(1 - spread)^2``, the one-argument gap factor."""
+    return v * (1 - v) * (1 - spread) ** 2
+
+
+def _gap_cap_side(v: float, spread: float, x, y):
+    """Side of the cap ``A_v - H_v <= v(1-v)(1 - spread)^2 y`` for ``x <= y <= spread x``."""
+    return _cap_factor(v, spread) * y - means.gap_map(v, x, y)
+
+
 # ---------------------------------------------------------------------------
 # scalar chain and two-sided gap bounds
 # ---------------------------------------------------------------------------
@@ -147,11 +184,9 @@ def _gap_ratio_bounds(v: float, tau: float, lam: float) -> tuple[float, float]:
 def check_scalar_agh(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> CertificateReport:
     """Scalar chain ``H_v <= G_v <= A_v`` (equality iff a = b)."""
     means.check_weight(v)
-    g = means.scalar_geo(v, pair)
-    h = means.scalar_harm(v, pair)
-    s = means.scalar_arith(v, pair)
+    gh, ag = _agh_sides(v, pair.a, pair.b)
     tol = TOL_RATE * tol_scale * (pair.a + pair.b + 1.0)
-    margins = {"geo_minus_harm": g - h, "arith_minus_geo": s - g}
+    margins = {"geo_minus_harm": gh, "arith_minus_geo": ag}
     return _finish(margins, tol, {"pair": pair, "v": v})
 
 
@@ -159,12 +194,9 @@ def check_matrix_agh(a: SpdMatrix, b: SpdMatrix, v: float, tol_scale: float = 1.
     """Matrix chain ``A !_v B <= A #_v B <= A nabla_v B`` in the semidefinite order."""
     means.check_weight(v)
     pair = means.spectral_pair(a, b)
-    geo, harm, arith = pair.geo(v), pair.harm(v), pair.arith(v)
+    gh, ag = _agh_sides(v, 1.0, pair.mu)
     tol = default_loewner_tol(a, b) * tol_scale
-    margins = {
-        "geo_minus_harm": pair.min_eig(geo - harm),
-        "arith_minus_geo": pair.min_eig(arith - geo),
-    }
+    margins = {"geo_minus_harm": pair.min_eig(gh), "arith_minus_geo": pair.min_eig(ag)}
     return _finish(margins, tol, {"A": a, "B": b, "v": v})
 
 
@@ -188,12 +220,7 @@ def check_gap_ratio(
 
 
 def probe_gap_ratio_limits(
-    v: float,
-    tau: float,
-    lam: float,
-    b: float,
-    eps_list: tuple[float, ...],
-    tol_scale: float = 1.0,
+    v: float, tau: float, lam: float, b: float, eps_list: tuple[float, ...], tol_scale: float = 1.0
 ) -> tuple[list[dict], CertificateReport]:
     """Sharpness probe for the powered-gap ratio bounds.
 
@@ -241,20 +268,15 @@ def check_half_weight_gap(
 
     where ``A``, ``H`` are the equal-weight means.  With ``squared=True``
     the same holds for squared means with factors ``4 min^2`` and ``4 max^2``.
+    Above ``v = 1/2`` it is the ``tau = 1/2`` gap-ratio bound at the exact
+    swap ``(v, a, b) -> (1-v, b, a)``.
     """
     means.check_weight(v, open_interval=True)
-    if squared:
-        base = means.scalar_arith(0.5, pair) ** 2 - means.scalar_harm(0.5, pair) ** 2
-        mid = means.scalar_arith(v, pair) ** 2 - means.scalar_harm(v, pair) ** 2
-        lo_f, hi_f = 4 * min(v, 1 - v) ** 2, 4 * max(v, 1 - v) ** 2
-        scale = (pair.a + pair.b) ** 2 + 1.0
-    else:
-        base = means.scalar_arith(0.5, pair) - means.scalar_harm(0.5, pair)
-        mid = means.scalar_arith(v, pair) - means.scalar_harm(v, pair)
-        lo_f, hi_f = 2 * min(v, 1 - v), 2 * max(v, 1 - v)
-        scale = pair.a + pair.b + 1.0
-    tol = TOL_RATE * tol_scale * scale
-    margins = {"above_lower": mid - lo_f * base, "below_upper": hi_f * base - mid}
+    power = 2 if squared else 1
+    w, x, y = (v, pair.a, pair.b) if v <= 0.5 else (1 - v, pair.b, pair.a)
+    above_lower, below_upper, _ = _gap_ratio_sides(w, 0.5, x, y, power)
+    tol = TOL_RATE * tol_scale * ((pair.a + pair.b) ** power + 1.0)
+    margins = {"above_lower": above_lower, "below_upper": below_upper}
     return _finish(margins, tol, {"pair": pair, "v": v, "squared": float(squared)})
 
 
@@ -272,12 +294,9 @@ def check_inverse_convexity(pair: ScalarPair, v: float, tol_scale: float = 1.0) 
     tol = TOL_RATE * tol_scale * (1 / a + 1 / b + 1.0)
     if pair.is_degenerate(NEAR_EQUAL_GUARD):
         return _degenerate(tol)
-    mid = v / a + (1 - v) / b - 1.0 / (v * a + (1 - v) * b)
+    mid = means.gap_map(v, 1 / a, 1 / b)  # A_v - H_v of the reciprocals
     coeff = 0.5 * v * (1 - v) * (b - a) ** 2
-    margins = {
-        "above_lower": mid - coeff * (2.0 / b**3),
-        "below_upper": coeff * (2.0 / a**3) - mid,
-    }
+    margins = {"above_lower": mid - coeff * (2.0 / b**3), "below_upper": coeff * (2.0 / a**3) - mid}
     return _finish(margins, tol, {"pair": pair, "v": v})
 
 
@@ -292,17 +311,13 @@ def check_one_sided_gap(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> C
     tol = TOL_RATE * tol_scale * (a + b + 1.0)
     if pair.is_degenerate(NEAR_EQUAL_GUARD):
         return _degenerate(tol)
-    mid = means.scalar_arith(v, pair) - means.scalar_harm(v, pair)
-    lower = v * (1 - v) * (1 - a / b) ** 2 * a
-    upper = v * (1 - v) * (1 - b / a) ** 2 * b
-    margins = {"above_lower": mid - lower, "below_upper": upper - mid}
+    lower = means.gap_map(v, a, b) - _cap_factor(v, a / b) * a
+    margins = {"above_lower": lower, "below_upper": _gap_cap_side(v, b / a, a, b)}
     return _finish(margins, tol, {"pair": pair, "v": v})
 
 
 def probe_normalized_gap(
-    v: float,
-    t_list: tuple[float, ...],
-    tol_scale: float = 1.0,
+    v: float, t_list: tuple[float, ...], tol_scale: float = 1.0
 ) -> tuple[list[dict], CertificateReport]:
     """Sharpness probe for the ``v(1-v)`` factor in the one-argument bounds.
 
@@ -358,12 +373,9 @@ def check_matrix_gap_ratio(
     """
     _check_weight_order(v, tau)
     pair = means.spectral_pair(a, b)
-    gap_v, gap_t = pair.gap(v), pair.gap(tau)
+    above_lower, below_upper, _ = _gap_ratio_sides(v, tau, 1.0, pair.mu)
     tol = default_loewner_tol(a, b) * tol_scale
-    margins = {
-        "above_lower": pair.min_eig(gap_v - (v / tau) * gap_t),
-        "below_upper": pair.min_eig(((1 - v) / (1 - tau)) * gap_t - gap_v),
-    }
+    margins = {"above_lower": pair.min_eig(above_lower), "below_upper": pair.min_eig(below_upper)}
     return _finish(margins, tol, {"A": a, "B": b, "v": v, "tau": tau})
 
 
@@ -410,10 +422,10 @@ def check_spread_gap_cap(
     for name, verdict in spread_hypothesis_verdicts(a, b, bounds, hyp_tol).items():
         if not verdict.holds:
             raise HypothesisViolated(name, verdict.margin)
-    coeff = v * (1 - v) * (1 - bounds.M / bounds.m) ** 2
+    spread = bounds.M / bounds.m
     pair = means.spectral_pair(a, b)
-    margin = pair.min_eig(coeff * pair.mu - pair.gap(v))
-    tol = TOL_RATE * tol_scale * ((coeff + 1.0) * hs_norm(b) + hs_norm(a) + 1.0)
+    margin = pair.min_eig(_gap_cap_side(v, spread, 1.0, pair.mu))
+    tol = TOL_RATE * tol_scale * ((_cap_factor(v, spread) + 1.0) * hs_norm(b) + hs_norm(a) + 1.0)
     return _finish({"cap_minus_gap": margin}, tol, {"A": a, "B": b, "v": v, "bounds": bounds})
 
 
@@ -430,11 +442,9 @@ def _one_sided(a: SpdMatrix, b: SpdMatrix, x) -> means.OneSidedPair:
     return pair
 
 
-def _hs_gap_squared(pair: means.OneSidedPair, v: float) -> tuple[float, float]:
-    """(||arith||_F^2 - ||harm||_F^2, sum of the two squares) at weight v."""
-    na = pair.hs_norm2(pair.arith(v))
-    nh = pair.hs_norm2(pair.harm(v))
-    return na - nh, na + nh
+def _hs_scale(pair: means.OneSidedPair, v: float, maps=(means.arith_map, means.harm_map)) -> float:
+    """The sum of the squared Hilbert-Schmidt norms of the one-sided means ``maps`` at ``v``."""
+    return pair.weighted_sum(sum(f(v, *pair.axes) ** 2 for f in maps))
 
 
 def check_hs_gap_ratio(
@@ -451,15 +461,13 @@ def check_hs_gap_ratio(
     """
     _check_weight_order(v, tau)
     pair = _one_sided(a, b, x)
-    dnum, snum = _hs_gap_squared(pair, v)
-    dden, sden = _hs_gap_squared(pair, tau)
+    above, below, dden = map(pair.weighted_sum, _gap_ratio_sides(v, tau, *pair.axes, 2))
+    sden = _hs_scale(pair, tau)
     if abs(dden) <= HS_DENOMINATOR_FLOOR * (sden + 1.0):
         return _degenerate(TOL_RATE * tol_scale)
-    ratio = dnum / dden
-    lower = (v / tau) ** 2
-    upper = ((1 - v) / (1 - tau)) ** 2
-    tol = TOL_RATE * tol_scale * ((snum + abs(ratio) * sden) / abs(dden) + 1.0)
-    margins = {"above_lower": ratio - lower, "below_upper": upper - ratio}
+    margins = {"above_lower": above / dden, "below_upper": below / dden}
+    ratio = (v / tau) ** 2 + margins["above_lower"]
+    tol = TOL_RATE * tol_scale * ((_hs_scale(pair, v) + abs(ratio) * sden) / abs(dden) + 1.0)
     return _finish(margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v, "tau": tau})
 
 
@@ -473,11 +481,10 @@ def check_hs_agh_chain(
     """
     means.check_weight(v)
     pair = _one_sided(a, b, x)
-    na = pair.hs_norm2(pair.arith(v))
-    ng = pair.hs_norm2(pair.geo(v))
-    nh = pair.hs_norm2(pair.harm(v))
-    tol = TOL_RATE * tol_scale * (na + ng + nh + 1.0)
-    margins = {"arith_minus_geo": na - ng, "geo_minus_harm": ng - nh}
+    geo_minus_harm, arith_minus_geo = map(pair.weighted_sum, _agh_sides(v, *pair.axes, 2))
+    scale = _hs_scale(pair, v, (means.arith_map, means.geo_map, means.harm_map))
+    tol = TOL_RATE * tol_scale * (scale + 1.0)
+    margins = {"arith_minus_geo": arith_minus_geo, "geo_minus_harm": geo_minus_harm}
     return _finish(margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v})
 
 
@@ -492,13 +499,9 @@ def check_hs_half_weight_gap(
     """
     means.check_half_weight(v)
     pair = _one_sided(a, b, x)
-    d_v, s_v = _hs_gap_squared(pair, v)
-    d_half, s_half = _hs_gap_squared(pair, 0.5)
-    tol = TOL_RATE * tol_scale * (s_v + s_half + 1.0)
-    margins = {
-        "above_lower": d_v - 4 * v**2 * d_half,
-        "below_upper": 4 * (1 - v) ** 2 * d_half - d_v,
-    }
+    above_lower, below_upper, _ = map(pair.weighted_sum, _gap_ratio_sides(v, 0.5, *pair.axes, 2))
+    tol = TOL_RATE * tol_scale * (_hs_scale(pair, v) + _hs_scale(pair, 0.5) + 1.0)
+    margins = {"above_lower": above_lower, "below_upper": below_upper}
     return _finish(margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v})
 
 
@@ -587,7 +590,8 @@ def check_det_root_gap(
     n = a.dim
     pair = means.spectral_pair(a, b)
     tol_base = TOL_RATE * tol_scale
-    if pair.min_eig(pair.gap(tau)) <= DET_GAP_FLOOR * hs_norm(tau * a.mat + (1 - tau) * b.mat):
+    gap_floor = DET_GAP_FLOOR * hs_norm(tau * a.mat + (1 - tau) * b.mat)
+    if pair.min_eig(means.gap_map(tau, 1.0, pair.mu)) <= gap_floor:
         return _degenerate(tol_base)
     ld_arith = means.logdet_arith(a, b, v)
     ld_harm = means.logdet_harm(a, b, v)

@@ -9,7 +9,9 @@ Weight convention: ``v`` always weights the *first* operand.  For scalars,
 and ``H_v <= G_v <= A_v`` with equality iff ``a = b``.  The matrix means
 follow the same convention (``v = 1`` returns the first operand, ``v = 0``
 the second, for all three), so diagonal operands reduce entrywise to the
-scalar means with the same pairing.
+scalar means with the same pairing.  The scalar means are the elementwise
+maps below (:func:`arith_map` ...) at ``(a, b)``, and every difference
+``A_v - H_v`` is :func:`gap_map`'s cancellation-free form.
 
 Two-sided matrix means go through one simultaneous congruence, the
 *spectral pair* of ``A`` and ``B`` (:func:`spectral_pair`).  With the
@@ -119,31 +121,32 @@ class ScalarPair:
 def scalar_arith(v: float, pair: ScalarPair) -> float:
     """Weighted arithmetic mean ``v a + (1 - v) b``."""
     check_weight(v)
-    return v * pair.a + (1 - v) * pair.b
+    return arith_map(v, pair.a, pair.b)
 
 
 def scalar_harm(v: float, pair: ScalarPair) -> float:
     """Weighted harmonic mean ``(v / a + (1 - v) / b)^-1``."""
     check_weight(v)
-    return 1.0 / (v / pair.a + (1 - v) / pair.b)
+    return harm_map(v, pair.a, pair.b)
 
 
 def scalar_geo(v: float, pair: ScalarPair) -> float:
     """Weighted geometric mean ``a^v b^(1 - v)``."""
     check_weight(v)
-    return float(pair.a**v * pair.b ** (1 - v))
+    return float(geo_map(v, pair.a, pair.b))
 
 
 def arith_harm_gap(v: float, pair: ScalarPair) -> float:
-    """The difference ``A_v(a, b) - H_v(a, b)`` in cancellation-free form.
-
-    Uses the exact rearrangement ``v (1-v) (a - b)^2 / (v b + (1 - v) a)``
-    (:func:`gap_map`); the naive subtraction loses all significant digits
-    once ``a`` is within about ``sqrt(eps)`` of ``b``, which the limit
-    probes must survive.
-    """
+    """The difference ``A_v(a, b) - H_v(a, b)``, by :func:`gap_map` without cancellation."""
     check_weight(v)
     return gap_map(v, pair.a, pair.b)
+
+
+def _log_harm_over_arith(w: float, a: float, b: float) -> tuple[float, float]:
+    """``(A_w, log(H_w / A_w))``; near ``a = b`` (``H_w >= A_w / 2``) the log is
+    ``log1p(-gap / A_w)``, which does not cancel."""
+    s, h = arith_map(w, a, b), harm_map(w, a, b)
+    return s, math.log1p(-gap_map(w, a, b) / s) if 2 * h >= s else math.log(h) - math.log(s)
 
 
 def gap_power_ratio(v: float, tau: float, lam: float, pair: ScalarPair) -> float:
@@ -154,7 +157,8 @@ def gap_power_ratio(v: float, tau: float, lam: float, pair: ScalarPair) -> float
     Defined for distinct positive operands; for ``0 < v < tau < 1`` and
     ``lam >= 1`` it lies strictly between ``(v/tau)^lam`` and
     ``((1-v)/(1-tau))^lam``, approaching the upper bound as ``a -> 0`` and
-    the lower one as ``a -> infinity``.
+    the lower one as ``a -> infinity``.  Evaluated without cancellation as
+    ``(A_v/A_tau)^lam expm1(lam log(H_v/A_v)) / expm1(lam log(H_tau/A_tau))``.
 
     Raises
     ------
@@ -162,7 +166,8 @@ def gap_power_ratio(v: float, tau: float, lam: float, pair: ScalarPair) -> float
         If the operands agree to within ``RATIO_DEGENERACY_GUARD``, or the
         powered gap at ``tau`` rounds to 0 (0/0 form).
     PowerOverflow
-        If a powered mean exceeds double precision.
+        If ``(A_v/A_tau)^lam``, or ``(a - b)^2`` where some ``H_w >= A_w / 2``,
+        exceeds double precision.
     """
     check_weight(v, open_interval=True)
     check_weight(tau, open_interval=True)
@@ -170,13 +175,15 @@ def gap_power_ratio(v: float, tau: float, lam: float, pair: ScalarPair) -> float
     if pair.is_degenerate():
         raise DegenerateInput(f"operands {pair.a!r}, {pair.b!r} are numerically equal")
     try:
-        num = scalar_arith(v, pair) ** lam - scalar_harm(v, pair) ** lam
-        den = scalar_arith(tau, pair) ** lam - scalar_harm(tau, pair) ** lam
+        s_v, log_v = _log_harm_over_arith(v, pair.a, pair.b)
+        s_tau, log_tau = _log_harm_over_arith(tau, pair.a, pair.b)
+        den = math.expm1(lam * log_tau)
+        if den == 0:
+            raise DegenerateInput(f"the powered gap at tau={tau!r}, lam={lam!r} rounds to 0")
+        return (s_v / s_tau) ** lam * (math.expm1(lam * log_v) / den)
     except OverflowError as exc:
-        raise PowerOverflow(f"a mean of {pair!r} ** {lam!r} exceeds double precision") from exc
-    if den == 0:
-        raise DegenerateInput(f"the powered gap at tau={tau!r}, lam={lam!r} rounds to 0")
-    return float(num / den)
+        msg = f"a gap or the mean ratio of {pair!r} ** {lam!r} exceeds double precision"
+        raise PowerOverflow(msg) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -219,25 +226,13 @@ class SpectralPair:
     """Simultaneous congruence ``A = S S*``, ``B = S diag(mu) S*``.
 
     ``mu`` holds the eigenvalues of ``L^-1 B L^-*`` (non-increasing, all
-    positive).  The per-weight methods return the diagonal ``d`` of a mean
-    or gap in this congruence; the matrix itself is :meth:`congruence` of
-    ``d``.
+    positive).  A spectral map evaluated at ``(1, mu)`` gives the diagonal
+    ``d`` of a mean or gap in this congruence; the matrix itself is
+    :meth:`congruence` of ``d``.
     """
 
     s: np.ndarray
     mu: np.ndarray
-
-    def arith(self, v: float) -> np.ndarray:
-        return arith_map(v, 1.0, self.mu)
-
-    def harm(self, v: float) -> np.ndarray:
-        return harm_map(v, 1.0, self.mu)
-
-    def geo(self, v: float) -> np.ndarray:
-        return geo_map(v, 1.0, self.mu)
-
-    def gap(self, v: float) -> np.ndarray:
-        return gap_map(v, 1.0, self.mu)
 
     def congruence(self, d: np.ndarray) -> np.ndarray:
         """``S diag(d) S*``, re-symmetrized after rounding."""
@@ -291,7 +286,7 @@ def logdet_gap(a: SpdMatrix, b: SpdMatrix, v: float) -> float:
     )
 
 
-def _two_sided(a: SpdMatrix, b: SpdMatrix, v: float, spectral) -> SpdMatrix:
+def _two_sided(a: SpdMatrix, b: SpdMatrix, v: float, spectral_map) -> SpdMatrix:
     _check_dims(a, b)
     check_weight(v)
     if v == 0:
@@ -299,7 +294,7 @@ def _two_sided(a: SpdMatrix, b: SpdMatrix, v: float, spectral) -> SpdMatrix:
     if v == 1:
         return a
     pair = spectral_pair(a, b)
-    return SpdMatrix(pair.congruence(spectral(pair, v)))
+    return SpdMatrix(pair.congruence(spectral_map(v, 1.0, pair.mu)))
 
 
 def mat_arith(a: SpdMatrix, b: SpdMatrix, v: float) -> SpdMatrix:
@@ -318,7 +313,7 @@ def mat_harm(a: SpdMatrix, b: SpdMatrix, v: float) -> SpdMatrix:
     Endpoint weights return the corresponding operand exactly (the means
     extend to ``v in {0, 1}`` by continuity).
     """
-    return _two_sided(a, b, v, SpectralPair.harm)
+    return _two_sided(a, b, v, harm_map)
 
 
 def mat_geo(a: SpdMatrix, b: SpdMatrix, v: float) -> SpdMatrix:
@@ -329,7 +324,7 @@ def mat_geo(a: SpdMatrix, b: SpdMatrix, v: float) -> SpdMatrix:
     :func:`mat_arith` and :func:`mat_harm`: ``v = 1`` gives ``A``, ``v = 0``
     gives ``B``, and diagonal operands reduce to ``a_i^v b_i^(1-v)``.
     """
-    return _two_sided(a, b, v, SpectralPair.geo)
+    return _two_sided(a, b, v, geo_map)
 
 
 # ---------------------------------------------------------------------------
@@ -360,35 +355,30 @@ def check_invertible(x: np.ndarray):
 @dataclass(frozen=True)
 class OneSidedPair:
     """``A = U diag(alpha) U*`` on the left, ``B = V diag(beta) V*`` on the
-    right, and ``Y = U* X V``.
+    right, ``Y = U* X V`` and its entrywise ``|Y|^2``.
 
-    The per-weight methods return the grid ``f(alpha_i, beta_j)`` of a
-    one-sided mean; :meth:`apply` assembles the matrix
-    ``U [f_ij y_ij] V*`` and :meth:`hs_norm2` its squared Hilbert-Schmidt
-    norm ``sum |f_ij y_ij|^2`` without assembling it.
+    A spectral map evaluated at :attr:`axes` gives the grid
+    ``f(alpha_i, beta_j)`` of a one-sided mean; :meth:`apply` assembles the
+    matrix ``U [f_ij y_ij] V*``, and :meth:`weighted_sum` of ``f^2`` is its
+    squared Hilbert-Schmidt norm ``sum f_ij^2 |y_ij|^2``.
     """
 
     left: EigenDecomposition
     right: EigenDecomposition
     y: np.ndarray
+    y2: np.ndarray
 
-    def _grid(self, spectral_map, v: float) -> np.ndarray:
-        return spectral_map(v, self.left.eigenvalues[:, None], self.right.eigenvalues[None, :])
-
-    def arith(self, v: float) -> np.ndarray:
-        return self._grid(arith_map, v)
-
-    def harm(self, v: float) -> np.ndarray:
-        return self._grid(harm_map, v)
-
-    def geo(self, v: float) -> np.ndarray:
-        return self._grid(geo_map, v)
+    @property
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``alpha`` as a column and ``beta`` as a row, broadcasting to the grid."""
+        return self.left.eigenvalues[:, None], self.right.eigenvalues[None, :]
 
     def apply(self, grid: np.ndarray) -> np.ndarray:
         return self.left.unitary @ (grid * self.y) @ self.right.unitary.conj().T
 
-    def hs_norm2(self, grid: np.ndarray) -> float:
-        return float(np.sum(np.abs(grid * self.y) ** 2))
+    def weighted_sum(self, grid: np.ndarray) -> float:
+        """``sum_ij grid_ij |y_ij|^2``."""
+        return float(np.sum(grid * self.y2))
 
 
 def one_sided_pair(a: SpdMatrix, b: SpdMatrix, x) -> OneSidedPair:
@@ -396,7 +386,8 @@ def one_sided_pair(a: SpdMatrix, b: SpdMatrix, x) -> OneSidedPair:
     for sampled operands, the drawn ones), and ``Y = U* X V``."""
     xm = _check_x(a, b, x)
     da, db = a.eig, b.eig
-    return OneSidedPair(da, db, da.unitary.conj().T @ xm @ db.unitary)
+    y = da.unitary.conj().T @ xm @ db.unitary
+    return OneSidedPair(da, db, y, np.abs(y) ** 2)
 
 
 def x_arith(a: SpdMatrix, b: SpdMatrix, x, v: float) -> np.ndarray:
@@ -413,7 +404,7 @@ def x_geo(a: SpdMatrix, b: SpdMatrix, x, v: float) -> np.ndarray:
     """One-sided weighted geometric mean ``A^v X B^(1 - v)``."""
     check_weight(v)
     pair = one_sided_pair(a, b, x)
-    return pair.apply(pair.geo(v))
+    return pair.apply(geo_map(v, *pair.axes))
 
 
 def x_harm(a: SpdMatrix, b: SpdMatrix, x, v: float) -> np.ndarray:
@@ -441,7 +432,7 @@ def x_harm(a: SpdMatrix, b: SpdMatrix, x, v: float) -> np.ndarray:
     check_weight(v)
     pair = one_sided_pair(a, b, x)
     check_invertible(pair.y)
-    return pair.apply(pair.harm(v))
+    return pair.apply(harm_map(v, *pair.axes))
 
 
 def normalized_gap(v: float, t: float) -> float:

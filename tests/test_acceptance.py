@@ -32,7 +32,7 @@ from meancert.sampling import SeedPath, random_ordered_pair
 
 
 #: SHA-256 of the default verify CSV at seed 20260808 (under PINNED_NUMPY).
-DEFAULT_VERIFY_SHA256 = "e6390982a104fe352e82000080b9ce55bd2f083b1fb74fe1f1ddfa139e6cf479"
+DEFAULT_VERIFY_SHA256 = "4b58ba0510b2bd1c0641e987506b3945925b851c7b5ba6f0201fd63566c5645e"
 
 
 @contextlib.contextmanager

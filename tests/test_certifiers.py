@@ -126,6 +126,53 @@ class TestGapRatio:
             assert rep.margins["below_upper"] > 1e-6
 
 
+@pytest.mark.parametrize("rel", [1e-1, 1e-3, 1e-5, 1e-7, 5e-8, 2e-8, 1e-9])
+def test_near_equal_operands_pass_and_match_mpmath(rel):
+    """At ``b/a = 1 + rel`` every gap certifier passes or reports degenerate, and
+    each margin it reports agrees with 50-digit arithmetic to within its tol."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    pair = ScalarPair(1.0, 1.0 + rel)
+    a, b = mp.mpf(pair.a), mp.mpf(pair.b)
+
+    def arith(w, p=1):
+        return (w * a + (1 - w) * b) ** p
+
+    def harm(w, p=1):
+        return 1 / (w / a + (1 - w) / b) ** p
+
+    def gap(w, p=1):
+        return arith(w, p) - harm(w, p)
+
+    cases = []
+    for v, tau, lam in [(0.49, 0.5, 1.0), (0.25, 0.5, 1.0), (0.1, 0.9, 2.0), (0.3, 0.7, 3.5),
+                        (0.45, 0.5, 100.0)]:
+        V, T = mp.mpf(v), mp.mpf(tau)
+        ratio = gap(V, lam) / gap(T, lam)
+        cases.append((check_gap_ratio(pair, v, tau, lam),
+                      (ratio - (V / T) ** lam, ((1 - V) / (1 - T)) ** lam - ratio)))
+    for v in (0.2, 0.5, 0.8):
+        V = mp.mpf(v)
+        for squared in (False, True):
+            p = 2 if squared else 1
+            lo, hi = (2 * min(V, 1 - V)) ** p, (2 * max(V, 1 - V)) ** p
+            cases.append((check_half_weight_gap(pair, v, squared),
+                          (gap(V, p) - lo * gap(0.5, p), hi * gap(0.5, p) - gap(V, p))))
+    for v in (0.1, 0.5, 0.9):
+        V = mp.mpf(v)
+        cases.append((check_one_sided_gap(pair, v),
+                      (gap(V) - V * (1 - V) * (1 - a / b) ** 2 * a,
+                       V * (1 - V) * (1 - b / a) ** 2 * b - gap(V))))
+        mid = V / a + (1 - V) / b - 1 / (V * a + (1 - V) * b)
+        coeff = V * (1 - V) * (b - a) ** 2
+        cases.append((check_inverse_convexity(pair, v), (mid - coeff / b**3, coeff / a**3 - mid)))
+    for rep, exact in cases:
+        assert rep.verdict in ("pass", "degenerate")
+        if not rep.degenerate:
+            for margin, want in zip(rep.margins.values(), exact, strict=True):
+                assert abs(margin - want) <= rep.tol_used
+
+
 class TestGapRatioLimitsProbe:
     def test_limits_approached(self):
         _, rep = probe_gap_ratio_limits(0.25, 0.5, 1.0, 1.0, (1e-2, 1e-4, 1e-6, 1e-8))

@@ -514,23 +514,23 @@ PINNED_NUMPY = "2.4.6"
 SWEEP_PINS = {
     "gap_ratio": "b27a652a95d85a5d3fae7d01fca17dc16cc56379dc77dd2cb1a26d5576906244",
     "matrix_gap_ratio": "f01ce9b9e6f0df3dc018ea4677896782fbc60cf06ef3aeba16074ff542c7cf0b",
-    "hs_gap_ratio": "b62123fc8d9644e587452795db122b2ab653ccd9d7bd7ed7ebc18fc652280f40",
+    "hs_gap_ratio": "12a776b1399b524097b413ab882655bd71f1f197ff92fc2536193e32b60185d7",
     "det_root_gap": "b191f3a3637167b2ecbe11dd6d6d1eb3354a2f4935848728182edcdee66e5f9f",
 }
 #: SHA-256 of probe reports, keyed by the probe flags and the report format.
 PROBE_PINS = {
     ("--name gap_ratio_limits", "csv"):
-        "5f019b8e3cfb5da16e2854978db90c375f9b344a7774adb8462451a18fcf3250",
+        "38cea49d9f3f2c29f20eb7eddf4ed7c95882795d40f112ba630fe01dedeacd97",
     ("--name gap_ratio_limits", "json"):
-        "e70aef48465cd2576e6cc7974645520326e458d069dcf45064f873d129df93d4",
+        "3c90532a7ec46df5a97be6e210dc0e8d0785995163539e3b47760d55bf92fe6c",
     ("--name gap_factor_sharpness", "csv"):
         "06e551e69b536fca4d3bab4270fa37cab5c357ba53044fa91c4a0592d2e6eb87",
     ("--name gap_factor_sharpness", "json"):
         "2a944407f98c7cfc643385fff3b4a9bffbcdfdc413cbed60b123003c05ff71bf",
     ("--name gap_ratio_limits --v 0.1 --tau 0.7 --lams 1,1.5,3 --b 2 --eps 1e-3,1e-9", "csv"):
-        "cab445dd909ccd00b203ea331cb518637d6f67ebd4f40c8d919daa8d606c5220",
+        "97d2292ef3217cdb146eec4258a227df7cfb9806cfea21fff8bb3ae2c5514fd4",
     ("--name gap_ratio_limits --v 0.1 --tau 0.7 --lams 1,1.5,3 --b 2 --eps 1e-3,1e-9", "json"):
-        "a4593183e8aa9aa3e82ff39f09cff261af4a4bd1df18137fcf45e8c0ffda0286",
+        "35e2f33133ece7f2eb311d08156ee2208b8dd048ab7a310860e0a22094ce4685",
     ("--name gap_factor_sharpness --v 0.2", "csv"):
         "ca4ab8720382b6500a06740595da0bfa2b4d070db89fc50b7b18e1c5b1278e5b",
     ("--name gap_factor_sharpness --v 0.2", "json"):

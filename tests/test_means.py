@@ -113,6 +113,8 @@ class TestGapHelpers:
     def test_ratio_small_a_limit(self):
         r = gap_power_ratio(0.25, 0.5, 1.0, ScalarPair(1e-10, 1.0))
         assert r == pytest.approx(1.5, rel=1e-8)
+        # operands 400 orders of magnitude apart: neither a gap nor a powered mean is formed
+        assert gap_power_ratio(0.25, 0.5, 3.0, ScalarPair(1e-200, 1e200)) == pytest.approx(1.5**3)
 
     def test_ratio_degenerate_raises(self):
         with pytest.raises(DegenerateInput):
@@ -121,11 +123,28 @@ class TestGapHelpers:
             gap_power_ratio(0.25, 0.5, 0.5, ScalarPair(1.0, 2.0))
 
     def test_ratio_out_of_range_powers_are_typed(self):
-        # means above 1 overflow at a large power; means below 1 underflow to 0/0
+        # no powered mean is formed, so means above 1 do not overflow and means
+        # below 1 do not underflow to 0/0: both ratios are finite, inside their
+        # bounds and match 50-digit arithmetic
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        v, tau, lam = 0.45, 0.5, 3000.0
+
+        def powered_gap(w, a, b):
+            w, a, b = mp.mpf(w), mp.mpf(a), mp.mpf(b)
+            return (w * a + (1 - w) * b) ** lam - 1 / (w / a + (1 - w) / b) ** lam
+
+        for a, b in ((2.0, 5.0), (0.5, 0.2)):
+            ratio = gap_power_ratio(v, tau, lam, ScalarPair(a, b))
+            exact = powered_gap(v, a, b) / powered_gap(tau, a, b)
+            assert abs(ratio - exact) <= 1e-12 * exact
+            assert (v / tau) ** lam < ratio < ((1 - v) / (1 - tau)) ** lam
+        # the mean ratio (A_v / A_tau)^lam = 19^3000 itself exceeds double precision,
+        # and so does the squared difference of near-equal operands above 1e154
         with pytest.raises(PowerOverflow):
-            gap_power_ratio(0.45, 0.5, 3000.0, ScalarPair(2.0, 5.0))
-        with pytest.raises(DegenerateInput):
-            gap_power_ratio(0.45, 0.5, 3000.0, ScalarPair(0.5, 0.2))
+            gap_power_ratio(0.05, 0.95, 3000.0, ScalarPair(1e-3, 1e3))
+        with pytest.raises(PowerOverflow):
+            gap_power_ratio(0.25, 0.5, 1.0, ScalarPair(1e200, 1.5e200))
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_ratio_rejects_non_finite_power(self, lam):
