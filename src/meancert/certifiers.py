@@ -510,13 +510,15 @@ def check_hs_half_weight_gap(
 # ---------------------------------------------------------------------------
 
 
-def _stable_power_difference(log_x: float, log_y: float, lam: float) -> float:
-    """``exp(lam log_x) - exp(lam log_y)`` without cancellation or inf - inf."""
+def _det_power_difference(a: SpdMatrix, b: SpdMatrix, v: float, p: float) -> tuple[float, float]:
+    """``(x^p - y^p, x^p + y^p)`` for ``x = det(A nabla_v B)``, ``y = det(A !_v B)``, from
+    their logs: the difference without cancellation or inf - inf, and its tol's scale."""
+    log_x, log_y = means.logdet_arith(a, b, v), means.logdet_harm(a, b, v)
     with np.errstate(over="ignore"):
-        delta = np.expm1(lam * (log_y - log_x))
-        if delta == 0.0:
-            return 0.0
-        return float(-np.exp(lam * log_x) * delta)
+        x_p = np.exp(p * log_x)
+        delta = np.expm1(p * (log_y - log_x))
+        diff = 0.0 if delta == 0.0 else float(-x_p * delta)
+        return diff, float(x_p + np.exp(p * log_y))
 
 
 def check_det_power_order(
@@ -529,11 +531,7 @@ def check_det_power_order(
     """
     means.check_weight(v)
     means.check_power(lam)
-    ld_arith = means.logdet_arith(a, b, v)
-    ld_harm = means.logdet_harm(a, b, v)
-    margin = _stable_power_difference(ld_arith, ld_harm, lam)
-    with np.errstate(over="ignore"):
-        scale = float(np.exp(lam * ld_arith) + np.exp(lam * ld_harm))
+    margin, scale = _det_power_difference(a, b, v, lam)
     tol = TOL_RATE * tol_scale * (scale + 1.0)
     return _finish({"det_power_gap": margin}, tol, {"A": a, "B": b, "v": v, "lam": lam})
 
@@ -587,35 +585,27 @@ def check_det_root_gap(
     """
     _check_weight_order(v, tau)
     means.check_power(lam)
-    n = a.dim
     pair = means.spectral_pair(a, b)
-    tol_base = TOL_RATE * tol_scale
     gap_floor = DET_GAP_FLOOR * hs_norm(tau * a.mat + (1 - tau) * b.mat)
     if pair.min_eig(means.gap_map(tau, 1.0, pair.mu)) <= gap_floor:
-        return _degenerate(tol_base)
-    ld_arith = means.logdet_arith(a, b, v)
-    ld_harm = means.logdet_harm(a, b, v)
+        return _degenerate(TOL_RATE * tol_scale)
+    margin, tol = _det_root_margin(a, b, v, tau, lam, tol_scale)
+    return _finish({"det_root_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": tau, "lam": lam})
+
+
+def _det_root_margin(a: SpdMatrix, b: SpdMatrix, v, tau, lam, tol_scale) -> tuple[float, float]:
+    """Margin and tol of :func:`check_det_root_gap` past its degenerate guard."""
+    n = a.dim
     ld_gap = means.logdet_gap(a, b, tau)
     with np.errstate(over="ignore", invalid="ignore"):
         t_gap = (v / tau) ** lam * np.exp(lam / n * ld_gap)
-        margin = _stable_power_difference(ld_arith, ld_harm, lam / n) - t_gap
-        scale = float(np.exp(lam / n * ld_arith) + np.exp(lam / n * ld_harm) + t_gap)
+        diff, total = _det_power_difference(a, b, v, lam / n)
+        margin, scale = diff - t_gap, total + t_gap
     if not np.isfinite(scale):
         raise PowerOverflow(f"a determinant to the power {lam!r}/{n} exceeds double precision")
     if scale == 0.0:  # every term underflowed: the margin would read 0 and pass
         raise PowerOverflow(f"every determinant to the power {lam!r}/{n} underflows to 0")
-    tol = tol_base * (scale + 1.0)
-    return _finish({"det_root_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": tau, "lam": lam})
-
-
-def _det_gap(a: SpdMatrix, b: SpdMatrix, v: float, tau: float, tol_scale: float) -> CertificateReport:
-    n = a.dim
-    d_arith = np.exp(means.logdet_arith(a, b, v))
-    d_harm = np.exp(means.logdet_harm(a, b, v))
-    t_gap = (v / tau) ** n * np.exp(means.logdet_gap(a, b, tau))
-    margin = float(d_arith - d_harm - t_gap)
-    tol = TOL_RATE * tol_scale * (d_arith + d_harm + t_gap + 1.0)
-    return _finish({"det_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": tau})
+    return float(margin), TOL_RATE * tol_scale * (scale + 1.0)
 
 
 def check_det_gap(
@@ -623,10 +613,13 @@ def check_det_gap(
 ) -> CertificateReport:
     """Determinant gap bound, ``0 < v <= tau < 1``:
 
-        ``det(A !_v B) + (v/tau)^n det(G_tau) <= det(A nabla_v B)``.
+        ``det(A !_v B) + (v/tau)^n det(G_tau) <= det(A nabla_v B)``,
+
+    which is :func:`check_det_root_gap` at ``lam = n``, past its degenerate guard.
     """
     _check_weight_order(v, tau)
-    return _det_gap(a, b, v, tau, tol_scale)
+    margin, tol = _det_root_margin(a, b, v, tau, float(a.dim), tol_scale)
+    return _finish({"det_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": tau})
 
 
 def check_det_half_weight_gap(
@@ -636,8 +629,9 @@ def check_det_half_weight_gap(
 
         ``det(A !_v B) + (2v)^n det(A nabla B - A ! B) <= det(A nabla_v B)``.
 
-    The body of :func:`check_det_gap` at ``tau = 1/2``, which also admits
-    the ``v = 0`` endpoint.
+    :func:`check_det_gap` at ``tau = 1/2``, which also admits the ``v = 0``
+    endpoint.
     """
     means.check_half_weight(v, zero_ok=True)
-    return _det_gap(a, b, v, 0.5, tol_scale)
+    margin, tol = _det_root_margin(a, b, v, 0.5, float(a.dim), tol_scale)
+    return _finish({"det_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": 0.5})

@@ -207,8 +207,12 @@ def geo_map(v: float, a, b):
 
 
 def gap_map(v: float, a, b):
-    """Elementwise arithmetic-minus-harmonic gap ``v(1-v)(a-b)^2 / (v b + (1-v) a)``."""
-    return v * (1 - v) * (a - b) ** 2 / (v * b + (1 - v) * a)
+    """Elementwise arithmetic-minus-harmonic gap ``v(1-v)(a-b)^2 / (v b + (1-v) a)``;
+    :class:`PowerOverflow` where ``(a-b)^2`` overflows a Python float."""
+    try:
+        return v * (1 - v) * (a - b) ** 2 / (v * b + (1 - v) * a)
+    except OverflowError as exc:
+        raise PowerOverflow(f"(a - b) ** 2 exceeds double precision at a={a!r}, b={b!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -120,10 +120,11 @@ def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, 
     """Ordered pair with ``m I <= A <= B <= M I``, exact at zero tolerance.
 
     ``B`` gets a spectrum drawn strictly inside ``[m, M]`` (guard band
-    ``ORDERED_SPECTRUM_GUARD`` relative), then a positive perturbation with
-    norm below B's spectral gap over ``m`` is subtracted to form ``A``; the
-    perturbation keeps a small definite floor so ``B - A`` stays positive
-    semidefinite after rounding.  The four checks of
+    ``ORDERED_SPECTRUM_GUARD`` relative) and is certified from it
+    (:meth:`SpdMatrix.from_spectrum`), then a positive perturbation with
+    norm below B's proven spectral gap over ``m`` is subtracted to form
+    ``A``; the perturbation keeps a small definite floor so ``B - A`` stays
+    positive semidefinite after rounding.  The four checks of
     :func:`~meancert.certifiers.spread_hypothesis_verdicts` are re-verified
     at tol 0 before returning, with up to 10 retries.
 
@@ -143,7 +144,7 @@ def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, 
         guard = ORDERED_SPECTRUM_GUARD
         w = np.exp(rng.uniform(np.log(m * (1 + guard)), np.log(M * (1 - guard)), size=dim))
         u = random_unitary(dim, rng)
-        b = SpdMatrix((u * w) @ u.conj().T)
+        b = SpdMatrix.from_spectrum(u, w)
         gap = b.min_eig - m
         if gap <= ORDERED_COLLAPSE_GUARD * M:
             a = b

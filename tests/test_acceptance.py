@@ -32,7 +32,7 @@ from meancert.sampling import SeedPath, random_ordered_pair
 
 
 #: SHA-256 of the default verify CSV at seed 20260808 (under PINNED_NUMPY).
-DEFAULT_VERIFY_SHA256 = "4b58ba0510b2bd1c0641e987506b3945925b851c7b5ba6f0201fd63566c5645e"
+DEFAULT_VERIFY_SHA256 = "6a82a9d622288e44f19125b0c907a3b6b96c1c415137a8d54c34d4923a5fed52"
 
 
 @contextlib.contextmanager

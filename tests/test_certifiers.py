@@ -34,8 +34,9 @@ from meancert import (
     probe_normalized_gap,
     spread_hypothesis_verdicts,
 )
-from meancert import means
+from meancert import certifiers, means, runner
 from meancert.certifiers import CertificateReport
+from meancert.config import RunConfig
 from meancert.sampling import SeedPath, SpectrumSpec, random_invertible, random_spd
 
 
@@ -465,6 +466,20 @@ class TestHsHalfWeightGap:
         assert check_hs_half_weight_gap(a, b, x, 0.2).holds
 
 
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        (check_one_sided_gap, (ScalarPair(1e200, 1.5e200), 0.5)),
+        (check_half_weight_gap, (ScalarPair(1e200, 1.5e200), 0.3)),
+        (check_inverse_convexity, (ScalarPair(1e-200, 1.5e-200), 0.5)),
+    ],
+)
+def test_scalar_gap_overflow_is_typed(check, args):
+    # (a - b) ** 2 overflows a Python float inside gap_map: PowerOverflow, not a bare OverflowError
+    with pytest.raises(PowerOverflow):
+        check(*args)
+
+
 class TestDeterminantChecks:
     def test_power_order_equal_operands(self):
         a, _ = spd_pair(19, 3)
@@ -534,6 +549,37 @@ class TestDeterminantChecks:
         with pytest.raises(PowerOverflow, match="underflow"):
             check_det_root_gap(small, twice, 0.25, 0.5, 300.0)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    def test_det_gaps_overflow_as_det_root_gap(self, scale, recwarn):
+        # every determinant overflows (1e100) or underflows (1e-100): the three
+        # determinant gap bounds raise PowerOverflow, none reads as fail or pass
+        a = SpdMatrix(np.diag(scale * np.arange(1.0, 9.0)))
+        b = SpdMatrix(np.diag(scale * np.array([2.0, 1.0, 5.0, 3.0, 4.0, 8.0, 6.0, 7.0])))
+        with pytest.raises(PowerOverflow):
+            check_det_gap(a, b, 0.25, 0.5)
+        with pytest.raises(PowerOverflow):
+            check_det_half_weight_gap(a, b, 0.25)
+        with pytest.raises(PowerOverflow):
+            check_det_root_gap(a, b, 0.25, 0.5, 8.0)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_det_gap_is_det_root_gap_at_power_n(self, monkeypatch):
+        # on the default verify's det_gap draws, det_gap's margin is det_root_gap's
+        # at lam = n bit for bit, wherever the root bound's degenerate guard does not fire
+        compared = []
+
+        def spy(a, b, v, tau, tol_scale):
+            rep = check_det_gap(a, b, v, tau, tol_scale)
+            root = check_det_root_gap(a, b, v, tau, float(a.dim), tol_scale)
+            if not root.degenerate:
+                assert rep.margins["det_gap"] == root.margins["det_root_gap"]
+                compared.append(rep.tol_used == root.tol_used)
+            return rep
+
+        monkeypatch.setattr(certifiers, "check_det_gap", spy)
+        runner.run_verify(RunConfig(inequality_selection=("det_gap",)))
+        assert len(compared) >= 900 and all(compared)
 
     def test_det_root_gap_degenerate_on_equal(self):
         a, _ = spd_pair(21, 3)

@@ -111,6 +111,28 @@ class TestOrderedPair:
             verdicts = spread_hypothesis_verdicts(a, b, BoundsHypothesis(m, big), tol=0.0)
             assert all(v.holds for v in verdicts.values())
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 32, 64])
+    def test_second_certified_from_drawn_spectrum(self, n, monkeypatch):
+        from meancert import linalg
+        from meancert.certifiers import BoundsHypothesis, spread_hypothesis_verdicts
+        from meancert.sampling import ORDERED_SPECTRUM_GUARD as guard
+
+        for k, cap in enumerate((1.5, 1e2, 1e4, 1e8)):
+            m = 0.3 * (k + 1)
+            a, b = random_ordered_pair(n, m, m * cap, SeedPath(15, 10 * n + k))
+            verdicts = spread_hypothesis_verdicts(a, b, BoundsHypothesis(m, m * cap), tol=0.0)
+            assert all(v.holds for v in verdicts.values())  # criterion 6, at tol 0
+            # min_eig is from_spectrum's proven lower bound, not an eigensolver's value
+            assert b.min_eig <= np.linalg.eigvalsh(b.mat)[0]
+            # B.eig is the drawn decomposition: reading it makes no eigensolve
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "eig_hermitian", None)
+                dec = b.eig
+            w = dec.eigenvalues
+            lo, hi = m * (1 + guard) * (1 - 1e-14), m * cap * (1 - guard) * (1 + 1e-14)
+            assert np.all(np.diff(w) <= 0) and lo <= w[-1] and w[0] <= hi
+            np.testing.assert_allclose(dec.apply(w), b.mat, rtol=0, atol=1e-12 * m * cap * n)
+
     def test_determinism(self):
         a1, b1 = random_ordered_pair(4, 0.5, 5.0, SeedPath(13, 2))
         a2, b2 = random_ordered_pair(4, 0.5, 5.0, SeedPath(13, 2))
