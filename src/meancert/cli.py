@@ -3,12 +3,15 @@
 Exit codes: 0 all certified, 1 at least one certified violation, 2 invalid
 input (bad flags, config, grid, or probe name or values, or a report path
 that cannot be written), 3 a trial failed numerically (a typed error such as
-``IllConditioned`` or ``PowerOverflow``; no report is written).
+``IllConditioned`` or ``PowerOverflow``; a report already at the path keeps
+its bytes).  Reports are written beside their path and replace it when done.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .config import GRID_PARSERS, convert, float_list, load_config, read_kv_file
@@ -79,51 +82,69 @@ def _base_overrides(args) -> dict:
     return overrides
 
 
-def _write(path: str, text: str):
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A file beside ``path`` that replaces it when the block ends, or is removed
+    if it raises; ConfigError, before the block, if ``path`` cannot be written."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: Is a directory")
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)  # already gone once it has replaced path
 
 
-def _write_report(cfg, stem: str, records, to_json, sweep: bool = False) -> tuple[str, int]:
-    """Write ``records`` as the CSV report, plus ``<out>.witnesses.json`` when
-    a row fails, or write ``to_json()``; return the path and the failures."""
+def _write_run(cfg, stem: str, run, to_json) -> tuple[str, runner.Tally]:
+    """Run ``run(sink)`` into the report, CSV rows as their trials finish or
+    ``to_json(tally)`` at the end; return the report's path and the tally."""
     out_path = cfg.resolved_output_path(stem)
-    failures = sum(1 for r in records if r.verdict == "fail")
-    if cfg.output_format == "csv":
-        _write(out_path, runner.records_to_csv(records))
-        if failures:
-            # the fixed CSV columns cannot carry witnesses; violations get a sidecar
-            _write(out_path + ".witnesses.json", runner.witnesses_json(records, sweep))
+    csv = cfg.output_format == "csv"
+    with _replacing(out_path) as fh:
+        if csv:
+            fh.write(runner.CSV_HEADER)
+            tally = run(lambda record: fh.write(runner.csv_row(record)))
+        else:
+            tally = run(lambda record: None)
+            fh.write(to_json(tally))
+    # the CSV columns cannot carry witnesses; a sidecar holds them, if there are any
+    sidecar = out_path + ".witnesses.json"
+    if csv and tally.failures:
+        with _replacing(sidecar) as fh:
+            fh.write(runner.witnesses_json(tally))
     else:
-        _write(out_path, to_json())
-    return out_path, failures
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(sidecar)
+    return out_path, tally
 
 
 def cmd_verify(args) -> int:
     cfg = load_config(getattr(args, "config", None), _base_overrides(args))
-    records, summaries = runner.run_verify(cfg)
-    out_path, failures = _write_report(
-        cfg, "verify_report", records, lambda: runner.suite_json(cfg, summaries, records)
+    out_path, tally = _write_run(
+        cfg, "verify_report", lambda sink: runner.run_verify(cfg, sink),
+        lambda tally: runner.suite_json(cfg, tally),
     )
-    print(runner.summary_table(summaries))
-    print(f"report written to {out_path}; failures={failures}")
-    return 1 if failures else 0
+    print(runner.summary_table(runner.summarize(tally)))
+    print(f"report written to {out_path}; failures={tally.failures}")
+    return 1 if tally.failures else 0
 
 
 def cmd_sweep(args) -> int:
     cfg = load_config(getattr(args, "config", None), _base_overrides(args))
     grid = read_kv_file(args.grid, GRID_PARSERS)
-    records, skipped = runner.run_sweep(cfg, grid, args.select)
-    out_path, failures = _write_report(
-        cfg, "sweep_report", records, lambda: runner.sweep_json(cfg, args.select, records, skipped),
-        sweep=True,
+    out_path, tally = _write_run(
+        cfg, "sweep_report", lambda sink: runner.run_sweep(cfg, grid, args.select, sink),
+        lambda tally: runner.sweep_json(cfg, args.select, tally),
     )
-    print(f"skipped_cells={skipped}")
-    print(f"report written to {out_path}; rows={len(records)}; failures={failures}")
-    return 1 if failures else 0
+    rows = sum(s.trials for s in tally.by_id.values())
+    print(f"skipped_cells={tally.skipped_cells}")
+    print(f"report written to {out_path}; rows={rows}; failures={tally.failures}")
+    return 1 if tally.failures else 0
 
 
 def cmd_probe(args) -> int:
@@ -135,10 +156,11 @@ def cmd_probe(args) -> int:
     rows, reports = runner.run_probe(args.name, params)
     holds = all(r.holds for r in reports)
     out_path = cfg.resolved_output_path("probe_report")
-    if cfg.output_format == "csv":
-        _write(out_path, runner.probe_rows_to_csv(rows))
-    else:
-        _write(out_path, runner.probe_json(args.name, params, rows, holds))
+    with _replacing(out_path) as fh:
+        if cfg.output_format == "csv":
+            fh.write(runner.probe_rows_to_csv(rows))
+        else:
+            fh.write(runner.probe_json(args.name, params, rows, holds))
     print(f"probe {args.name}: {'pass' if holds else 'FAIL'}; report written to {out_path}")
     return 0 if holds else 1
 

@@ -12,8 +12,9 @@ executor, :func:`_run`, so a new certifier is one new entry.
 Each (certifier, trial) pair is an independent task whose randomness derives
 only from ``(master_seed, global_trial_index)``, where the global index is
 ``canonical_rank * trials + local_index``.  Records are therefore identical
-no matter how trials are scheduled; the writers sort before serializing so
-output files are byte-identical across runs and worker counts.  Runs hold
+no matter how trials are scheduled; tasks run in canonical order (id rank or
+grid cell, then trial) and records reach the writer in that order, so output
+files are byte-identical across runs and worker counts.  Runs hold
 BLAS to one thread (:mod:`meancert.blas`), in this process and in each pool
 worker, so the bits do not depend on the BLAS thread count either.
 
@@ -24,10 +25,12 @@ trial.
 
 from __future__ import annotations
 
+import contextlib
 import json
+from array import array
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
@@ -297,18 +300,23 @@ def _failed(label: str, exc: MeanCertError) -> TrialFailed:
     return TrialFailed(f"trial {label} failed: {type(exc).__name__}: {exc}")
 
 
-def _run(cfg: RunConfig, task_fn: Callable, tasks) -> list[TrialRecord]:
-    """``task_fn`` of each task, in task order: in this process, or on
-    ``cfg.workers`` pool processes, with BLAS held to one thread either way.
-
-    The first task to raise, in task order, raises here whatever the worker
-    count.
-    """
-    with blas.one_thread():
+def _run(cfg: RunConfig, task_fn: Callable, tasks, tally: Tally, sink: Callable) -> Tally:
+    """Fold ``task_fn`` of each task into ``tally`` and hand it to ``sink``, in
+    task order: in this process, or as ``cfg.workers`` pool processes deliver
+    it, with BLAS held to one thread either way.  The first task to raise, in
+    task order, raises here whatever the worker count."""
+    with blas.one_thread(), contextlib.ExitStack() as stack:
         if cfg.workers == 1:
-            return [task_fn(task) for task in tasks]
-        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=blas.pin_one_thread) as pool:
-            return list(pool.map(task_fn, tasks, chunksize=64))
+            records = map(task_fn, tasks)
+        else:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=cfg.workers, initializer=blas.pin_one_thread)
+            )
+            records = pool.map(task_fn, tasks, chunksize=64)
+        for record in records:
+            tally.add(record)
+            sink(record)
+    return tally
 
 
 def _verify_task(task) -> TrialRecord:
@@ -319,21 +327,19 @@ def _verify_task(task) -> TrialRecord:
         raise _failed(f"{ineq}:{idx}", exc) from exc
 
 
-def run_verify(cfg: RunConfig) -> tuple[list[TrialRecord], dict]:
-    """Run every selected certifier over its instance family; return records
-    sorted canonically plus per-inequality summaries.
+def run_verify(cfg: RunConfig, sink: Callable = lambda record: None) -> Tally:
+    """Run each selected certifier (once, however often selected) over its
+    instance family, handing each record to ``sink``; return the run's tally.
 
-    Raises :class:`TrialFailed` for the first failed trial in selection
-    order, then trial order, whatever the worker count.
+    Raises :class:`TrialFailed` for the first failed trial in canonical
+    order, whatever the selection order or the worker count.
     """
     tasks = (
         (cfg, ineq, idx)
-        for ineq in cfg.inequality_selection
+        for ineq in CANONICAL_IDS if ineq in cfg.inequality_selection
         for idx in range(cfg.trials_per_inequality)
     )
-    records = _run(cfg, _verify_task, tasks)
-    records.sort(key=lambda r: (CANONICAL_IDS.index(r.inequality_id), r.trial_index))
-    return records, summarize(records)
+    return _run(cfg, _verify_task, tasks, Tally(), sink)
 
 
 def _cell_label(ineq: str, v, tau, lam, dim: int) -> str:
@@ -349,32 +355,55 @@ def _ref(r: TrialRecord, sweep: bool) -> str:
     return f"{head}:{r.trial_index}"
 
 
-def summarize(records: list[TrialRecord], sweep: bool = False) -> dict:
-    """Per-inequality tallies; trials = passes + failures + degenerate.
-    ``failures`` lists the failing trials' labels (:func:`_ref`)."""
-    summaries: dict[str, dict] = {}
-    for ineq in dict.fromkeys(r.inequality_id for r in records):
-        rows = [r for r in records if r.inequality_id == ineq]
-        failures = [_ref(r, sweep) for r in rows if r.verdict == "fail"]
-        degenerate = sum(1 for r in rows if r.degenerate)
-        margins = []
-        per_trial_min = []
-        for r in rows:
-            if r.degenerate:
-                continue
-            vals = [m for m in (r.margin_lower, r.margin_upper) if m is not None]
-            margins.extend(vals)
-            if vals:
-                per_trial_min.append(min(vals))
-        summaries[ineq] = {
-            "trials": len(rows),
-            "passes": len(rows) - len(failures) - degenerate,
-            "degenerate_skipped": degenerate,
-            "min_margin": min(margins) if margins else None,
-            "median_margin": float(np.median(per_trial_min)) if per_trial_min else None,
-            "failures": failures,
+@dataclass
+class _IdTally:
+    trials: int = 0
+    degenerate: int = 0
+    min_margin: float | None = None
+    minima: array = field(default_factory=lambda: array("d"))  # each trial's minimum margin
+    failures: list[str] = field(default_factory=list)  # the failing trials' labels (_ref)
+
+
+class Tally:
+    """The fold of a run's records, in the order they arrive, into what its
+    report needs (:func:`summarize`): per-id counts and minimum margin, each
+    trial's minimum margin (8 bytes a trial, for the median), failure labels
+    and witnesses.  A sweep's tally also counts its skipped grid cells."""
+
+    def __init__(self, sweep: bool = False, skipped_cells: int = 0):
+        self.sweep, self.skipped_cells, self.failures, self.witnesses = sweep, skipped_cells, 0, {}
+        self.by_id: dict[str, _IdTally] = {}
+
+    def add(self, r: TrialRecord) -> None:
+        s = self.by_id.get(r.inequality_id) or self.by_id.setdefault(r.inequality_id, _IdTally())
+        s.trials += 1
+        if r.verdict == "fail":
+            s.failures.append(_ref(r, self.sweep))
+            self.failures += 1
+        if r.witness is not None:
+            self.witnesses[_ref(r, self.sweep)] = r.witness
+        if r.degenerate:
+            s.degenerate += 1
+            return
+        vals = [m for m in (r.margin_lower, r.margin_upper) if m is not None]
+        if vals:  # min() over every margin in order, so a NaN is kept or passed over alike
+            s.minima.append(min(vals))
+            s.min_margin = min(vals) if s.min_margin is None else min(s.min_margin, *vals)
+
+
+def summarize(tally: Tally) -> dict:
+    """Per-inequality summaries of a run; trials = passes + failures + degenerate."""
+    return {
+        ineq: {
+            "trials": s.trials,
+            "passes": s.trials - len(s.failures) - s.degenerate,
+            "degenerate_skipped": s.degenerate,
+            "min_margin": s.min_margin,
+            "median_margin": float(np.median(s.minima)) if s.minima else None,
+            "failures": s.failures,
         }
-    return summaries
+        for ineq, s in tally.by_id.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -403,33 +432,36 @@ def config_echo(cfg: RunConfig) -> dict:
     return out
 
 
-def _csv(columns: tuple[str, ...], rows) -> str:
-    """CSV text: the header ``columns``, then one line per row of values."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(value) for value in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_line(row) -> str:
+    return ",".join(map(_fmt, row)) + "\n"
+
+
+_CSV_ROW = attrgetter(*[f.name for f in fields(TrialRecord)][: len(CSV_COLUMNS)])
+
+#: The first line of a CSV report; :func:`csv_row` gives each line after it.
+CSV_HEADER = _csv_line(CSV_COLUMNS)
+
+
+def csv_row(record: TrialRecord) -> str:
+    """The CSV report line of one record."""
+    return _csv_line(_CSV_ROW(record))
 
 
 def records_to_csv(records: list[TrialRecord]) -> str:
-    names = [f.name for f in fields(TrialRecord)][: len(CSV_COLUMNS)]
-    return _csv(CSV_COLUMNS, map(attrgetter(*names), records))
-
-
-def _witness_map(records: list[TrialRecord], sweep: bool) -> dict:
-    return {_ref(r, sweep): r.witness for r in records if r.witness is not None}
+    return CSV_HEADER + "".join(map(csv_row, records))
 
 
 def _report_json(**payload) -> str:
     return json.dumps({"spec_version": REPORT_SCHEMA_VERSION, **payload}, indent=2) + "\n"
 
 
-def witnesses_json(records: list[TrialRecord], sweep: bool = False) -> str:
-    return _report_json(witnesses=_witness_map(records, sweep))
+def witnesses_json(tally: Tally) -> str:
+    return _report_json(witnesses=tally.witnesses)
 
 
-def suite_json(cfg: RunConfig, summaries: dict, records: list[TrialRecord]) -> str:
+def suite_json(cfg: RunConfig, tally: Tally) -> str:
     return _report_json(
-        config=config_echo(cfg), summaries=summaries, witnesses=_witness_map(records, False)
+        config=config_echo(cfg), summaries=summarize(tally), witnesses=tally.witnesses
     )
 
 
@@ -467,8 +499,9 @@ def _sweep_task(task) -> TrialRecord:
     return _record(select, dim, cap, t, (v, tau, lam), report)
 
 
-def run_sweep(cfg: RunConfig, grid: dict, select: str) -> tuple[list[TrialRecord], int]:
-    """Run ``select`` over the cartesian grid; returns (records, skipped_cells)."""
+def run_sweep(cfg: RunConfig, grid: dict, select: str, sink: Callable = lambda record: None) -> Tally:
+    """Run ``select`` over the cartesian grid, handing each record to ``sink``;
+    return the run's tally, which counts the cells the hypotheses skip."""
     if select not in SWEEPABLE_IDS:
         raise ConfigError(f"sweep supports {', '.join(SWEEPABLE_IDS)}; got {select!r}")
     if not grid or not all(len(values) for values in grid.values()):
@@ -493,13 +526,13 @@ def run_sweep(cfg: RunConfig, grid: dict, select: str) -> tuple[list[TrialRecord
         for rank, cell in enumerate(kept)
         for t in range(cfg.trials_per_inequality)
     )
-    return _run(cfg, _sweep_task, tasks), len(cells) - len(kept)
+    return _run(cfg, _sweep_task, tasks, Tally(True, len(cells) - len(kept)), sink)
 
 
-def sweep_json(cfg: RunConfig, select: str, records: list[TrialRecord], skipped: int) -> str:
+def sweep_json(cfg: RunConfig, select: str, tally: Tally) -> str:
     return _report_json(
-        config=config_echo(cfg), selection=select, skipped_cells=skipped,
-        summaries=summarize(records, sweep=True), witnesses=_witness_map(records, True),
+        config=config_echo(cfg), selection=select, skipped_cells=tally.skipped_cells,
+        summaries=summarize(tally), witnesses=tally.witnesses,
     )
 
 
@@ -556,7 +589,8 @@ def run_probe(name: str, params: dict) -> tuple[list[dict], list[CertificateRepo
 
 
 def probe_rows_to_csv(rows: list[dict]) -> str:
-    return _csv(PROBE_CSV_COLUMNS, map(itemgetter(*PROBE_CSV_COLUMNS), rows))
+    values = map(itemgetter(*PROBE_CSV_COLUMNS), rows)
+    return _csv_line(PROBE_CSV_COLUMNS) + "".join(map(_csv_line, values))
 
 
 def probe_json(name: str, params: dict, rows: list[dict], holds: bool) -> str:

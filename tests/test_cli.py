@@ -83,7 +83,7 @@ class TestVerifyCommand:
 
     def test_summary_conservation(self, tmp_path):
         cfg = load_config(None, {"trials_per_inequality": 8, "dims": (1, 2)})
-        records, summaries = runner.run_verify(cfg)
+        summaries = runner.summarize(runner.run_verify(cfg))
         for s in summaries.values():
             assert s["trials"] == s["passes"] + len(s["failures"]) + s["degenerate_skipped"]
 

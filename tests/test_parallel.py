@@ -125,7 +125,8 @@ def test_sweep_runs_trials_on_one_thread_and_restores(control, monkeypatch):
     seen = []
     monkeypatch.setattr(runner, "_sweep_report", _recording(control, seen, runner._sweep_report))
     grid = {"v": (0.25,), "tau": (0.5,), "lambda": (1.0,), "dim": (2,)}
-    records, _ = runner.run_sweep(_config(), grid, "matrix_gap_ratio")
+    records = []
+    runner.run_sweep(_config(), grid, "matrix_gap_ratio", records.append)
     assert len(records) == 3 and seen == [1, 1, 1]
     assert control.get_num_threads() == 2
 
