@@ -17,6 +17,7 @@ from functools import partial
 
 from .errors import ConfigError
 from .runner import CANONICAL_IDS, check_dims
+from .sampling import MIN_REL_SEPARATION
 
 ENV_PREFIX = "MEANCERT_"
 
@@ -41,8 +42,9 @@ class RunConfig:
         if self.trials_per_inequality < 1:
             raise ConfigError("trials_per_inequality must be at least 1")
         check_dims(self.dims)
-        if not self.cond_caps or any(not (math.isfinite(c) and c >= 1) for c in self.cond_caps):
-            raise ConfigError("cond_caps must be a nonempty list of finite values >= 1")
+        floor = 1.0 / (1.0 - MIN_REL_SEPARATION)
+        if not self.cond_caps or any(not (math.isfinite(c) and c >= floor) for c in self.cond_caps):
+            raise ConfigError(f"cond_caps must be a nonempty list of finite values >= {floor!r}")
         if not (math.isfinite(self.tolerance_scale) and self.tolerance_scale > 0):
             raise ConfigError("tolerance_scale must be finite and positive")
         unknown = [t for t in self.inequality_selection if t not in CANONICAL_IDS]

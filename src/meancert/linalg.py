@@ -7,15 +7,14 @@ Conventions used throughout the package:
 * :class:`HermitianMatrix` stores its entries in exactly conjugate-symmetric
   form (the constructor replaces ``M`` by ``(M + M*)/2``).
 * :class:`SpdMatrix` is a Hermitian matrix certified positive definite at
-  construction, by an eigensolve or from the spectrum it was built from
+  construction, from an eigensolve or from the spectrum it was built from
   (:meth:`SpdMatrix.from_spectrum`); every operation that needs
   invertibility takes one.
 * Eigenvalues are reported in non-increasing order everywhere.
 
 All operations are pure functions of their arguments and all carriers are
-immutable after construction (an :class:`SpdMatrix` fills in its
-decomposition on first use, a pure function of what it was built from), so
-everything here is safe to use from multiple threads.
+immutable after construction, so everything here is safe to use from
+multiple threads.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ RECONSTRUCTION_TOL = 1e-10
 #: Positive-definiteness gate: smallest eigenvalue must exceed this times ||A||_F.
 SPD_MIN_EIG_FACTOR = 1e-12
 
-#: Unit roundoff scale of float64, for the rounding term of :meth:`SpdMatrix.from_spectrum`.
+#: Unit roundoff scale of float64, for the rounding term of :class:`SpdMatrix`'s bound.
 EPS = float(np.finfo(np.float64).eps)
 
 #: Base rate of every tolerance: ``TOL_RATE * tol_scale * s``, with a scale
@@ -99,36 +98,26 @@ class HermitianMatrix:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-def _check_positive_definite(min_eig: float, norm: float):
-    """Raise :class:`NotPositiveDefinite` unless ``min_eig`` exceeds the gate
-    ``SPD_MIN_EIG_FACTOR * ||A||_F``, given ``norm = ||A||_F``."""
-    gate = SPD_MIN_EIG_FACTOR * norm
-    if not min_eig > gate:  # NaN-safe comparison
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite: min eigenvalue {min_eig:.3e} "
-            f"does not exceed the gate {gate:.3e}"
-        )
-
-
 class SpdMatrix(HermitianMatrix):
-    """Hermitian matrix certified positive definite at construction.
+    """Hermitian matrix certified positive definite at construction, from a
+    gated eigendecomposition: ``eigh``'s of the entries, or the spectrum it
+    was built from (:meth:`from_spectrum`), kept as :attr:`eig` with its
+    eigenvalues non-increasing.
 
-    Construction rejects matrices whose smallest eigenvalue does not exceed
-    ``SPD_MIN_EIG_FACTOR * ||A||_F``, since every downstream use assumes a
-    stable inverse exists.  ``min_eig`` caches the smallest eigenvalue as
-    certified: ``eigvalsh``'s value, or the lower bound of
-    :meth:`from_spectrum`.  :attr:`eig` is the gated eigendecomposition.
+    ``min_eig`` is a proven lower bound on the smallest eigenvalue.  Unless
+    it exceeds ``SPD_MIN_EIG_FACTOR * ||A||_F`` (every downstream use assumes
+    a stable inverse exists), construction raises :class:`NotPositiveDefinite`;
+    a decomposition that misses :func:`eig_hermitian`'s quality gates raises
+    :class:`ConvergenceFailure`.
     """
 
-    __slots__ = ("min_eig", "_eig", "_drawn")
+    __slots__ = ("min_eig", "eig")
 
     def __init__(self, entries):
         super().__init__(entries)
-        w = np.linalg.eigvalsh(self.mat)
-        _check_positive_definite(w[0], float(np.linalg.norm(self.mat)))
-        self.min_eig = float(w[0])
-        self._eig = None
-        self._drawn = None
+        w, u = np.linalg.eigh(self.mat)
+        w, u = w[::-1].copy(), u[:, ::-1].copy()  # eig_hermitian's order and layout
+        self._certify(u, w, (u * w) @ u.conj().T)
 
     @classmethod
     def from_spectrum(cls, u, w) -> SpdMatrix:
@@ -136,22 +125,7 @@ class SpdMatrix(HermitianMatrix):
         order), certified from ``(u, w)`` rather than by an eigensolve.
 
         The stored matrix is the product as formed, symmetrized as the
-        constructor does.  ``(u, w)`` must pass :func:`eig_hermitian`'s
-        quality gates against it, and becomes :attr:`eig`.  ``min_eig`` is
-        the lower bound ``(1 - defect) min(w) - resid - (n + 2) eps max(w)``
-        on the smallest eigenvalue, and must exceed the constructor's gate:
-        by Ostrowski's theorem the eigenvalues of the exact ``U W U*`` are
-        ``theta w_k`` with ``theta >= sigma_min(U)^2 >= 1 - defect``, and by
-        Weyl's the stored matrix moves them by at most ``resid`` plus the
-        rounding of the product and of ``defect``, ``(n + 2) eps max(w)`` to
-        first order (one rounding per term of a length-``n`` inner product).
-
-        Raises
-        ------
-        ConvergenceFailure
-            If ``(u, w)`` misses a quality gate (``u`` is not unitary).
-        NotPositiveDefinite
-            If the bound does not exceed ``SPD_MIN_EIG_FACTOR * ||A||_F``.
+        constructor does; ``u`` must be unitary to the quality gates.
         """
         u = np.array(u, dtype=np.complex128)
         w = np.array(w, dtype=np.float64)
@@ -159,30 +133,34 @@ class SpdMatrix(HermitianMatrix):
         if w.shape != (n,) or u.shape != (n, n) or n < 1:
             raise DimensionMismatch(f"expected n x n and n values, got {u.shape}, {w.shape}")
         product = (u * w) @ u.conj().T
-        mat = (product + product.conj().T) / 2.0
-        defect, resid, norm = _quality_gates(mat, u, product)
-        lower = (1.0 - defect) * float(w.min()) - resid - (n + 2) * EPS * float(w.max())
-        _check_positive_definite(lower, norm)
         self = cls.__new__(cls)
-        self.mat = _read_only(mat)
-        self.min_eig = lower
-        self._eig = None
-        self._drawn = (_read_only(u), _read_only(w))
+        self.mat = _read_only((product + product.conj().T) / 2.0)
+        self._certify(u, w, product)
         return self
 
-    @property
-    def eig(self) -> EigenDecomposition:
-        """The gated eigendecomposition, eigenvalues non-increasing:
-        :func:`eig_hermitian`'s, or a :meth:`from_spectrum` matrix's
-        ``(u, w)`` sorted; either is formed on first use."""
-        if self._eig is None:
-            if self._drawn is None:
-                self._eig = eig_hermitian(self)
-            else:
-                u, w = self._drawn
-                order = np.argsort(-w, kind="stable")
-                self._eig = EigenDecomposition(_read_only(u[:, order]), _read_only(w[order]))
-        return self._eig
+    def _certify(self, u: np.ndarray, w: np.ndarray, product: np.ndarray):
+        """Set ``min_eig`` and :attr:`eig` from a decomposition ``(u, w)`` of
+        ``mat`` (in any order), with ``product`` the formed ``U diag(w) U*``.
+
+        ``(u, w)`` must pass :func:`eig_hermitian`'s quality gates against
+        ``mat``.  ``min_eig`` is the lower bound ``(1 - defect) min(w) - resid
+        - (n + 2) eps max(w)``: by Ostrowski's theorem the eigenvalues of the
+        exact ``U W U*`` are ``theta w_k`` with ``theta >= sigma_min(U)^2 >= 1 -
+        defect``, and by Weyl's ``mat`` moves them by at most ``resid`` plus
+        the rounding of the product and of ``defect``, ``(n + 2) eps max(w)``
+        to first order (one rounding per term of a length-``n`` inner product).
+        """
+        defect, resid, norm = _quality_gates(self.mat, u, product)
+        lower = (1.0 - defect) * float(w.min()) - resid - (w.size + 2) * EPS * float(w.max())
+        gate = SPD_MIN_EIG_FACTOR * norm
+        if not lower > gate:  # NaN-safe comparison
+            raise NotPositiveDefinite(
+                f"matrix is not positive definite: min eigenvalue bound {lower:.3e} "
+                f"does not exceed the gate {gate:.3e}"
+            )
+        order = np.argsort(-w, kind="stable")
+        self.min_eig = lower
+        self.eig = EigenDecomposition(_read_only(u[:, order]), _read_only(w[order]))
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,11 @@ from __future__ import annotations
 import contextlib
 import json
 from array import array
+from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
@@ -300,6 +302,23 @@ def _failed(label: str, exc: MeanCertError) -> TrialFailed:
     return TrialFailed(f"trial {label} failed: {type(exc).__name__}: {exc}")
 
 
+#: Tasks per pool call, and pool calls in flight per worker: a run's memory
+#: then does not grow with its task count.
+_CHUNK, _CHUNKS_PER_WORKER = 64, 8
+
+
+def _pool_map(pool: ProcessPoolExecutor, workers: int, task_fn: Callable, tasks):
+    """``map(task_fn, tasks)``, in order, for an iterator ``tasks`` on ``pool``."""
+    pending = deque()
+    for chunk in iter(lambda: list(islice(tasks, _CHUNK)), []):
+        # the map is pickled unevaluated: the worker runs it
+        pending.append(pool.submit(list, map(task_fn, chunk)))
+        if len(pending) == _CHUNKS_PER_WORKER * workers:
+            yield from pending.popleft().result()
+    while pending:
+        yield from pending.popleft().result()
+
+
 def _run(cfg: RunConfig, task_fn: Callable, tasks, tally: Tally, sink: Callable) -> Tally:
     """Fold ``task_fn`` of each task into ``tally`` and hand it to ``sink``, in
     task order: in this process, or as ``cfg.workers`` pool processes deliver
@@ -312,7 +331,8 @@ def _run(cfg: RunConfig, task_fn: Callable, tasks, tally: Tally, sink: Callable)
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=cfg.workers, initializer=blas.pin_one_thread)
             )
-            records = pool.map(task_fn, tasks, chunksize=64)
+            stack.callback(pool.shutdown, cancel_futures=True)  # drops calls a failure left queued
+            records = _pool_map(pool, cfg.workers, task_fn, tasks)
         for record in records:
             tally.add(record)
             sink(record)

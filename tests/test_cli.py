@@ -7,6 +7,7 @@ import pytest
 from meancert import certifiers, cli
 from meancert.config import CANONICAL_IDS, load_config
 from meancert.errors import ConfigError
+from meancert.sampling import MIN_REL_SEPARATION
 from meancert import runner
 
 
@@ -209,6 +210,31 @@ class TestHighConditionCaps:
         assert code == 0
         verdicts = self.verdicts(out)
         assert len(verdicts) == 20 and "fail" not in verdicts
+
+
+class TestLowConditionCaps:
+    # the scalar draws need a ratio cap of at least 1/(1 - MIN_REL_SEPARATION)
+    FLOOR = 1.0 / (1.0 - MIN_REL_SEPARATION)
+
+    @pytest.mark.parametrize(
+        "command, ineq",
+        [("verify", i) for i in CANONICAL_IDS] + [("sweep", i) for i in runner.SWEEPABLE_IDS],
+    )
+    def test_caps_below_the_floor_exit_two(self, tmp_path, capsys, monkeypatch, command, ineq):
+        out = tmp_path / "report.csv"
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("v = 0.25\ntau = 0.5\ndim = 1, 2, 8\n")
+        argv = [command, "--select", ineq, "--trials", "10", "--out", str(out)]
+        argv += ["--dims", "1,2,8"] if command == "verify" else ["--grid", str(grid)]
+        for cap in (1.0, 1.005, 1.05, self.FLOOR, 1.2):
+            monkeypatch.setenv("MEANCERT_COND_CAPS", repr(cap))
+            want = 2 if cap < self.FLOOR else 0
+            assert run_cli(argv) == want, (cap, capsys.readouterr().err)
+            err = capsys.readouterr().err  # nothing, or one error line: never a traceback
+            if want == 2:
+                assert err.startswith("error: cond_caps") and err.count("\n") == 1
+            else:
+                assert err == ""
 
 
 class TestTrialFailure:

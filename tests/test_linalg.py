@@ -52,8 +52,9 @@ class TestFromSpectrum:
         for n in range(1, 65):
             dist = ("log-uniform", "clustered")[n % 2]
             spec = SpectrumSpec(n, 1 / np.sqrt(cap), np.sqrt(cap), dist)
-            p = random_spd(spec, SeedPath(int(np.log10(cap)), n))
-            assert 0 < p.min_eig <= np.linalg.eigvalsh(p.mat)[0], (n, cap)
+            drawn = random_spd(spec, SeedPath(int(np.log10(cap)), n))
+            for p in (drawn, SpdMatrix(drawn.mat)):  # from the spectrum, and from eigh
+                assert 0 < p.min_eig <= np.linalg.eigvalsh(p.mat)[0], (n, cap)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_lower_bound_below_exact_smallest_eigenvalue(self, n):
@@ -66,7 +67,9 @@ class TestFromSpectrum:
             p = random_spd(SpectrumSpec(n, 1 / np.sqrt(cap), np.sqrt(cap), dist), SeedPath(91, k))
             exact = mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in p.mat])
             lam_min = min(mp.eighe(exact, eigvals_only=True)) if n > 1 else exact[0, 0].real
-            assert mp.mpf(p.min_eig) <= lam_min, (n, k)
+            for q in (p, SpdMatrix(p.mat)):  # from the spectrum, and from eigh
+                assert np.array_equal(q.mat, p.mat)
+                assert mp.mpf(q.min_eig) <= lam_min, (n, k)
 
     def test_spectrum_under_gate_rejected(self):
         for w in ([1.0, 1e-13], [1.0, 0.0], [1.0, -1.0]):
@@ -108,6 +111,18 @@ class TestFromSpectrum:
             assert np.array_equal(got.eigenvalues, want.eigenvalues)
             assert np.array_equal(got.unitary, want.unitary)
             assert p.eig is got  # computed once
+
+    def test_reading_eig_makes_no_eigensolve(self, monkeypatch):
+        def no_eigensolve(*args):
+            raise AssertionError("eigensolve after construction")
+
+        entries = random_spd(SpectrumSpec(6, 1e-2, 1e2), SeedPath(9, 99)).mat
+        p, want = SpdMatrix(entries), eig_hermitian(entries)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        assert np.array_equal(p.eig.eigenvalues, want.eigenvalues)
+        assert np.array_equal(p.eig.unitary, want.unitary)
+        assert not p.eig.unitary.flags.writeable and not p.eig.eigenvalues.flags.writeable
 
 
 class TestEig:

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ def _grid(tmp_path, text=SWEEP_GRID):
         "verify --select scalar_agh --format csv",
         "verify --select scalar_agh --format json",
         "sweep --select gap_ratio --format csv",
+        "verify --select scalar_agh --format csv --workers 2",
     ],
 )
 def test_peak_memory_flat_in_trials(tmp_path, command):
@@ -171,6 +173,50 @@ def test_trial_failure_names_the_first_in_canonical_order(monkeypatch):
                              "trials_per_inequality": 2})
     with pytest.raises(TrialFailed, match=r"^trial scalar_agh:0 failed"):
         runner.run_verify(cfg)
+
+
+class _EagerPool:
+    """A pool that runs each call as it is submitted, and counts the calls
+    submitted but not yet read."""
+
+    def __init__(self):
+        self.in_flight = self.most_in_flight = 0
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        self.in_flight += 1
+        self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        read = future.result
+
+        def result():
+            self.in_flight -= 1
+            return read()
+
+        future.result = result
+        return future
+
+
+def _fail_above_1000(t):
+    if t > 1000:
+        raise TrialFailed(f"trial {t}")
+    return t
+
+
+def test_pool_map_keeps_task_order_in_a_bounded_window():
+    pool, workers = _EagerPool(), 2
+    window = runner._CHUNKS_PER_WORKER * workers
+    n = 3 * window * runner._CHUNK + 5
+    assert list(runner._pool_map(pool, workers, abs, (-t for t in range(n)))) == list(range(n))
+    assert pool.most_in_flight == window
+    # every chunk past trial 1000 raises: the first of them raises, after every earlier record
+    seen = []
+    with pytest.raises(TrialFailed, match=r"^trial 1001$"):
+        seen.extend(runner._pool_map(_EagerPool(), workers, _fail_above_1000, iter(range(n))))
+    assert seen == list(range(1000 // runner._CHUNK * runner._CHUNK))
 
 
 def test_an_id_selected_twice_runs_once():
