@@ -8,8 +8,8 @@ Conventions used throughout the package:
   form (the constructor replaces ``M`` by ``(M + M*)/2``).
 * :class:`SpdMatrix` is a Hermitian matrix certified positive definite at
   construction, from an eigensolve or from the spectrum it was built from
-  (:meth:`SpdMatrix.from_spectrum`); every operation that needs
-  invertibility takes one.
+  (:meth:`SpdMatrix.from_spectra`, a stack of them at once); every operation
+  that needs invertibility takes one.
 * Eigenvalues are reported in non-increasing order everywhere.
 
 All operations are pure functions of their arguments and all carriers are
@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, IllConditioned, NotPositiveDefinite
+from .errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    IllConditioned,
+    MeanCertError,
+    NotPositiveDefinite,
+)
 
 #: Unitarity defect allowance for eigenvector matrices: ||U U* - I||_F <= UNITARITY_TOL * n.
 UNITARITY_TOL = 1e-12
@@ -101,14 +107,15 @@ class HermitianMatrix:
 class SpdMatrix(HermitianMatrix):
     """Hermitian matrix certified positive definite at construction, from a
     gated eigendecomposition: ``eigh``'s of the entries, or the spectrum it
-    was built from (:meth:`from_spectrum`), kept as :attr:`eig` with its
+    was built from (:meth:`from_spectra`), kept as :attr:`eig` with its
     eigenvalues non-increasing.
 
     ``min_eig`` is a proven lower bound on the smallest eigenvalue.  Unless
     it exceeds ``SPD_MIN_EIG_FACTOR * ||A||_F`` (every downstream use assumes
     a stable inverse exists), construction raises :class:`NotPositiveDefinite`;
     a decomposition that misses :func:`eig_hermitian`'s quality gates raises
-    :class:`ConvergenceFailure`.
+    :class:`ConvergenceFailure`.  Both constructors certify through one
+    stacked step, :func:`_certificates`, here on a stack of one.
     """
 
     __slots__ = ("min_eig", "eig")
@@ -117,50 +124,92 @@ class SpdMatrix(HermitianMatrix):
         super().__init__(entries)
         w, u = np.linalg.eigh(self.mat)
         w, u = w[::-1].copy(), u[:, ::-1].copy()  # eig_hermitian's order and layout
-        self._certify(u, w, (u * w) @ u.conj().T)
+        product = (u * w) @ u.conj().T
+        self.min_eig, self.eig = _raised(
+            _certificates(self.mat[None], u[None], w[None], product[None])[0]
+        )
 
     @classmethod
     def from_spectrum(cls, u, w) -> SpdMatrix:
         """``U diag(w) U*`` for a unitary ``u`` and a real spectrum ``w`` (in any
-        order), certified from ``(u, w)`` rather than by an eigensolve.
-
-        The stored matrix is the product as formed, symmetrized as the
-        constructor does; ``u`` must be unitary to the quality gates.
-        """
-        u = np.array(u, dtype=np.complex128)
-        w = np.array(w, dtype=np.float64)
-        n = w.size
-        if w.shape != (n,) or u.shape != (n, n) or n < 1:
+        order): :meth:`from_spectra` of a stack of one, raising its error."""
+        u = np.asarray(u, dtype=np.complex128)
+        w = np.asarray(w, dtype=np.float64)
+        if w.ndim != 1 or u.shape != (w.size, w.size):
             raise DimensionMismatch(f"expected n x n and n values, got {u.shape}, {w.shape}")
-        product = (u * w) @ u.conj().T
-        self = cls.__new__(cls)
-        self.mat = _read_only((product + product.conj().T) / 2.0)
-        self._certify(u, w, product)
-        return self
+        return _raised(cls.from_spectra(u[None], w[None])[0])
 
-    def _certify(self, u: np.ndarray, w: np.ndarray, product: np.ndarray):
-        """Set ``min_eig`` and :attr:`eig` from a decomposition ``(u, w)`` of
-        ``mat`` (in any order), with ``product`` the formed ``U diag(w) U*``.
+    @classmethod
+    def from_spectra(cls, u, w) -> list:
+        """``U_k diag(w_k) U_k*`` for a stack of unitaries ``u`` ``(N, n, n)``
+        and real spectra ``w`` ``(N, n)`` (each in any order), each certified
+        from its ``(u_k, w_k)`` rather than by an eigensolve.
 
-        ``(u, w)`` must pass :func:`eig_hermitian`'s quality gates against
-        ``mat``.  ``min_eig`` is the lower bound ``(1 - defect) min(w) - resid
-        - (n + 2) eps max(w)``: by Ostrowski's theorem the eigenvalues of the
-        exact ``U W U*`` are ``theta w_k`` with ``theta >= sigma_min(U)^2 >= 1 -
-        defect``, and by Weyl's ``mat`` moves them by at most ``resid`` plus
-        the rounding of the product and of ``defect``, ``(n + 2) eps max(w)``
-        to first order (one rounding per term of a length-``n`` inner product).
+        Returns one entry per item: its matrix, or the :class:`ConvergenceFailure`
+        or :class:`NotPositiveDefinite` it raises alone.  Each stored matrix is
+        the product as formed, symmetrized as the constructor does; the
+        stacked products, gates and bounds equal the per-matrix ones bit for
+        bit, so an item's matrix does not depend on the stack it is formed in.
         """
-        defect, resid, norm = _quality_gates(self.mat, u, product)
-        lower = (1.0 - defect) * float(w.min()) - resid - (w.size + 2) * EPS * float(w.max())
-        gate = SPD_MIN_EIG_FACTOR * norm
-        if not lower > gate:  # NaN-safe comparison
-            raise NotPositiveDefinite(
-                f"matrix is not positive definite: min eigenvalue bound {lower:.3e} "
-                f"does not exceed the gate {gate:.3e}"
+        u = np.asarray(u, dtype=np.complex128)
+        w = np.asarray(w, dtype=np.float64)
+        if w.ndim != 2 or w.shape[1] < 1 or u.shape != (*w.shape, w.shape[1]):
+            raise DimensionMismatch(
+                f"expected N x n x n and N x n values, got {u.shape}, {w.shape}"
             )
-        order = np.argsort(-w, kind="stable")
-        self.min_eig = lower
-        self.eig = EigenDecomposition(_read_only(u[:, order]), _read_only(w[order]))
+        product = (u * w[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        mats = _read_only((product + product.conj().swapaxes(-1, -2)) / 2.0)
+        out = []
+        for mat, cert in zip(mats, _certificates(mats, u, w, product)):
+            if isinstance(cert, MeanCertError):
+                out.append(cert)
+                continue
+            self = cls.__new__(cls)
+            self.mat, (self.min_eig, self.eig) = mat, cert
+            out.append(self)
+        return out
+
+
+def _raised(item):
+    """``item``, unless it is an error: then raise it."""
+    if isinstance(item, MeanCertError):
+        raise item
+    return item
+
+
+def _certificates(mats, u, w, products) -> list:
+    """Each item's ``(min_eig, eig)`` for a stack of decompositions ``(u, w)``
+    of ``mats`` (in any order), with ``products`` the formed ``U diag(w) U*``,
+    or the error of the first gate it misses.
+
+    ``(u, w)`` must pass :func:`eig_hermitian`'s quality gates against
+    ``mat``.  ``min_eig`` is the lower bound ``(1 - defect) min(w) - resid
+    - (n + 2) eps max(w)``: by Ostrowski's theorem the eigenvalues of the
+    exact ``U W U*`` are ``theta w_k`` with ``theta >= sigma_min(U)^2 >= 1 -
+    defect``, and by Weyl's ``mat`` moves them by at most ``resid`` plus
+    the rounding of the product and of ``defect``, ``(n + 2) eps max(w)``
+    to first order (one rounding per term of a length-``n`` inner product).
+    It must exceed ``SPD_MIN_EIG_FACTOR * ||mat||_F``.  ``eig`` is ``(u, w)``
+    sorted non-increasing.
+    """
+    defect, resid, norm, errors = _quality_gates(mats, u, products)
+    lower = (1.0 - defect) * w.min(axis=-1) - resid - (w.shape[-1] + 2) * EPS * w.max(axis=-1)
+    gate = SPD_MIN_EIG_FACTOR * norm
+    order = np.argsort(-w, axis=-1, kind="stable")
+    out = []
+    for k, error in enumerate(errors):
+        if error is None and not lower[k] > gate[k]:  # NaN-safe comparison
+            error = NotPositiveDefinite(
+                f"matrix is not positive definite: min eigenvalue bound {lower[k]:.3e} "
+                f"does not exceed the gate {gate[k]:.3e}"
+            )
+        if error is not None:
+            out.append(error)
+            continue
+        o = order[k]
+        eig = EigenDecomposition(_read_only(u[k][:, o]), _read_only(w[k][o]))
+        out.append((float(lower[k]), eig))
+    return out
 
 
 @dataclass(frozen=True)
@@ -214,26 +263,38 @@ def eig_hermitian(h: HermitianMatrix) -> EigenDecomposition:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     w = w[::-1].copy()
     u = u[:, ::-1].copy()
-    _quality_gates(h.mat, u, (u * w) @ u.conj().T)
+    _raised(_quality_gates(h.mat[None], u[None], ((u * w) @ u.conj().T)[None])[3][0])
     return EigenDecomposition(unitary=_read_only(u), eigenvalues=_read_only(w))
 
 
-def _quality_gates(
-    mat: np.ndarray, u: np.ndarray, product: np.ndarray
-) -> tuple[float, float, float]:
-    """Raise :class:`ConvergenceFailure` unless a decomposition ``(u, w)`` of
-    ``mat``, with ``product`` the formed ``U diag(w) U*``, passes both quality
-    gates of :func:`eig_hermitian`; return ``(defect, resid, ||mat||_F)``."""
-    n = mat.shape[0]
-    defect = float(np.linalg.norm(u @ u.conj().T - np.eye(n)))
-    if not defect <= UNITARITY_TOL * n:  # NaN-safe comparison
-        raise ConvergenceFailure(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL * n:.3e}")
-    resid = float(np.linalg.norm(mat - product))
-    norm = float(np.linalg.norm(mat))
-    bound = RECONSTRUCTION_TOL * max(1.0, norm)
-    if not resid <= bound:
-        raise ConvergenceFailure(f"reconstruction error {resid:.3e} exceeds {bound:.3e}")
-    return defect, resid, norm
+def _quality_gates(mats: np.ndarray, u: np.ndarray, products: np.ndarray) -> tuple:
+    """Each item's ``defect``, ``resid`` and ``||mat||_F`` for a stack of
+    decompositions ``(u, w)`` of ``mats``, with ``products`` the formed
+    ``U diag(w) U*``, and its :class:`ConvergenceFailure` for the first of
+    :func:`eig_hermitian`'s quality gates it misses (None if it passes both)."""
+    n = mats.shape[-1]
+    defect = _frobenius(u @ u.conj().swapaxes(-1, -2) - np.eye(n))
+    resid = _frobenius(mats - products)
+    norm = _frobenius(mats)
+    bound = RECONSTRUCTION_TOL * np.fmax(1.0, norm)  # fmax: max(1.0, nan) is 1.0
+    unitary = defect <= UNITARITY_TOL * n  # NaN-safe comparisons
+    passed = unitary & (resid <= bound)
+    errors = [None] * len(mats)
+    for k in () if passed.all() else np.flatnonzero(~passed):
+        errors[k] = ConvergenceFailure(
+            f"unitarity defect {defect[k]:.3e} exceeds {UNITARITY_TOL * n:.3e}" if not unitary[k]
+            else f"reconstruction error {resid[k]:.3e} exceeds {bound[k]:.3e}"
+        )
+    return defect, resid, norm, errors
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a C-contiguous stack, as
+    ``np.linalg.norm`` forms it, bit for bit: ``sqrt(re.re + im.im)`` over
+    the flattened entries, each product one BLAS dot."""
+    flat = x.reshape(len(x), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -9,18 +9,28 @@ which fill the CSV margin columns in order.  Verify trials
 through :func:`_check`, record through :func:`_record` and run on one
 executor, :func:`_run`, so a new certifier is one new entry.
 
-Each (certifier, trial) pair is an independent task whose randomness derives
-only from ``(master_seed, global_trial_index)``, where the global index is
-``canonical_rank * trials + local_index``.  Records are therefore identical
-no matter how trials are scheduled; tasks run in canonical order (id rank or
-grid cell, then trial) and records reach the writer in that order, so output
-files are byte-identical across runs and worker counts.  Runs hold
-BLAS to one thread (:mod:`meancert.blas`), in this process and in each pool
-worker, so the bits do not depend on the BLAS thread count either.
+Each (certifier, trial) pair's randomness derives only from
+``(master_seed, global_trial_index)``, where the global index is
+``canonical_rank * trials + local_index``.  Trials run in canonical order
+(id rank or grid cell, then trial), cut into consecutive *blocks* within
+an entry budget (:data:`_BLOCK_ENTRIES`: 64 trials up to n = 8, one at
+n = 64).  A block runs in three phases: each trial draws its randoms from
+its own seed, in order; the block forms its matrix operands in one stacked
+QR and one stacked certificate per kind and dimension
+(:func:`_draw_block`); then each trial is checked and recorded, in order.
+Every stacked item has the bits of its per-matrix computation, and a trial
+run alone (:func:`run_trial` without its draw) draws on a block of one, so
+records do not depend on how trials are cut into blocks or scheduled.  A
+block is also the unit of the process pool, and records reach the writer
+in canonical order, so output files are byte-identical across runs and
+worker counts.  Runs hold BLAS to one thread (:mod:`meancert.blas`), in
+this process and in each pool worker, so the bits do not depend on the
+BLAS thread count either.
 
-A typed :class:`~meancert.errors.MeanCertError` raised inside one trial
-escapes as :class:`~meancert.errors.TrialFailed`, whose message names the
-trial.
+A typed :class:`~meancert.errors.MeanCertError` raised by one trial's draw
+or check escapes as :class:`~meancert.errors.TrialFailed`, whose message
+names the trial; a draw's error is raised in its trial's turn, so the
+trial named is the first to fail in canonical order.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
@@ -44,9 +54,10 @@ from .errors import ConfigError, MeanCertError, TrialFailed
 from .sampling import (
     SeedPath,
     SpectrumSpec,
-    random_invertible,
+    draw_invertible,
+    draw_spd,
+    form_operands,
     random_ordered_pair,
-    random_spd,
     sample_params,
     sample_power,
 )
@@ -114,24 +125,30 @@ class Certifier:
     draws a sweep trial's operands with ``sweep_draw`` and takes its params
     from ``sweep_cell(v, tau, lam)``, which is None for a cell outside the
     weight hypotheses.
+
+    A draw may return its matrix operands as :class:`~meancert.sampling.MatrixDraw`
+    randoms, which the trial's block forms (:func:`_draw_block`).  With
+    ``draws_in_trial`` the draw runs inside its trial, on a block of one: for
+    a draw that picks its next randoms from an operand it has formed.
     """
 
     draw: Callable
     row: Callable = lambda params: (params.get("v"), params.get("tau"), params.get("lam"))
     sweep_draw: Callable | None = None
     sweep_cell: Callable | None = None
+    draws_in_trial: bool = False
 
 
 def _spd_pair(rng, dim, cond_cap):
     scale = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
     dist = "clustered" if rng.random() < 0.25 else "log-uniform"
     spec = SpectrumSpec(dim, scale / np.sqrt(cond_cap), scale * np.sqrt(cond_cap), dist)
-    return random_spd(spec, rng), random_spd(spec, rng)
+    return draw_spd(spec, rng), draw_spd(spec, rng)
 
 
 def _spd_pair_x(rng, dim, cap):
     a, b = _spd_pair(rng, dim, cap)
-    return a, b, random_invertible(dim, cap, rng)
+    return a, b, draw_invertible(dim, cap, rng)
 
 
 def _weight(rng, lo=0.0, hi=1.0, endpoints=False):
@@ -234,7 +251,8 @@ CERTIFIERS = {
     "matrix_half_weight_gap": Certifier(
         _then(_spd_pair, _v(0.02, 0.5)), row=lambda p: (p["v"], 0.5, None)
     ),
-    "spread_gap_cap": Certifier(_draw_spread_gap_cap),
+    # the ordered pair draws A from B's proven bound
+    "spread_gap_cap": Certifier(_draw_spread_gap_cap, draws_in_trial=True),
     # the Hilbert-Schmidt bounds compare squared norms: power 2
     "hs_gap_ratio": Certifier(
         _then(_spd_pair_x, _ordered("v", "tau")),
@@ -285,66 +303,139 @@ def _record(ineq: str, dim: int, cap: float, trial_index: int, row: tuple, repor
     )
 
 
-def run_trial(cfg: RunConfig, inequality_id: str, local_index: int) -> TrialRecord:
-    """Run one seeded trial of one certifier; pure function of its arguments."""
-    rank = CANONICAL_IDS.index(inequality_id)
-    global_index = rank * cfg.trials_per_inequality + local_index
-    rng = SeedPath(cfg.master_seed, global_index).rng()
+def _draw_block(jobs) -> list:
+    """The draws of a block of trials, for each trial's ``(draw, rng, dim,
+    cap)``: every ``draw(rng, dim, cap) -> (operands, params)`` in trial
+    order, then their :class:`~meancert.sampling.MatrixDraw` operands formed
+    at once (:func:`~meancert.sampling.form_operands`).  A trial whose draw
+    or forming raised gets the exception in place of its ``(operands,
+    params)``, so that it is raised in the trial's turn."""
+    drawn = []
+    for draw, rng, dim, cap in jobs:
+        try:
+            drawn.append(draw(rng, dim, cap))
+        except Exception as exc:  # raised in the trial's turn, after every earlier trial
+            drawn.append(exc)
+    live = [k for k, d in enumerate(drawn) if not isinstance(d, Exception)]
+    for k, operands in zip(live, form_operands([drawn[k][0] for k in live])):
+        drawn[k] = operands if isinstance(operands, Exception) else (operands, drawn[k][1])
+    return drawn
+
+
+def _drawn_alone(job) -> tuple:
+    """One trial's ``(operands, params)``, drawn on a block of its own."""
+    (drawn,) = _draw_block([job])
+    if isinstance(drawn, Exception):
+        raise drawn
+    return drawn
+
+
+def _dim_cap(cfg: RunConfig, local_index: int) -> tuple:
     dim = cfg.dims[local_index % len(cfg.dims)]
-    cap = cfg.cond_caps[(local_index // len(cfg.dims)) % len(cfg.cond_caps)]
-    entry = CERTIFIERS[inequality_id]
-    operands, params = entry.draw(rng, dim, cap)
+    return dim, cfg.cond_caps[(local_index // len(cfg.dims)) % len(cfg.cond_caps)]
+
+
+def _trial_job(cfg: RunConfig, inequality_id: str, local_index: int) -> tuple:
+    """The ``(draw, rng, dim, cap)`` of a verify trial."""
+    global_index = CANONICAL_IDS.index(inequality_id) * cfg.trials_per_inequality + local_index
+    rng = SeedPath(cfg.master_seed, global_index).rng()
+    return (CERTIFIERS[inequality_id].draw, rng, *_dim_cap(cfg, local_index))
+
+
+def run_trial(cfg: RunConfig, inequality_id: str, local_index: int, drawn=None) -> TrialRecord:
+    """Run one seeded trial of one certifier; pure function of its arguments.
+
+    ``drawn`` is the trial's ``(operands, params)`` as its block drew them
+    (:func:`_draw_block`); without it the trial draws them itself, on a
+    block of one, with the same bits."""
+    if drawn is None:
+        drawn = _drawn_alone(_trial_job(cfg, inequality_id, local_index))
+    operands, params = drawn
+    dim, cap = _dim_cap(cfg, local_index)
     report = _check(inequality_id, operands, params, cfg.tolerance_scale)
-    return _record(inequality_id, dim, cap, local_index, entry.row(params), report)
+    row = CERTIFIERS[inequality_id].row(params)
+    return _record(inequality_id, dim, cap, local_index, row, report)
 
 
 def _failed(label: str, exc: MeanCertError) -> TrialFailed:
     return TrialFailed(f"trial {label} failed: {type(exc).__name__}: {exc}")
 
 
-#: Tasks per pool call, and pool calls in flight per worker: a run's memory
-#: then does not grow with its task count.
-_CHUNK, _CHUNKS_PER_WORKER = 64, 8
+#: A block's budget of matrix entries, a trial counting ``max(dim, 8)^2``:
+#: 64 trials up to n = 8, 4 at n = 32 and 1 at n = 64.  It bounds the draws
+#: a block holds until it forms them, and the records a pool call returns.
+_BLOCK_ENTRIES = 64 * 8 * 8
+#: Pool calls (one block each) in flight per worker: a run's memory then
+#: does not grow with its trial count.
+_BLOCKS_PER_WORKER = 8
 
 
-def _pool_map(pool: ProcessPoolExecutor, workers: int, task_fn: Callable, tasks):
-    """``map(task_fn, tasks)``, in order, for an iterator ``tasks`` on ``pool``."""
+def _blocks(trials, dim_of):
+    """Consecutive ``trials`` in lists within the :data:`_BLOCK_ENTRIES` budget."""
+    block, entries = [], 0
+    for trial in trials:
+        cost = max(dim_of(trial), 8) ** 2
+        if block and entries + cost > _BLOCK_ENTRIES:
+            yield block
+            block, entries = [], 0
+        block.append(trial)
+        entries += cost
+    if block:
+        yield block
+
+
+def _listed(block_fn: Callable, block) -> list:
+    return list(block_fn(block))
+
+
+def _pool_map(pool: ProcessPoolExecutor, workers: int, block_fn: Callable, blocks):
+    """``chain.from_iterable(map(block_fn, blocks))``, in order, for an iterator
+    ``blocks`` on ``pool``, one pool call per block."""
     pending = deque()
-    for chunk in iter(lambda: list(islice(tasks, _CHUNK)), []):
-        # the map is pickled unevaluated: the worker runs it
-        pending.append(pool.submit(list, map(task_fn, chunk)))
-        if len(pending) == _CHUNKS_PER_WORKER * workers:
+    for block in blocks:
+        pending.append(pool.submit(_listed, block_fn, block))
+        if len(pending) == _BLOCKS_PER_WORKER * workers:
             yield from pending.popleft().result()
     while pending:
         yield from pending.popleft().result()
 
 
-def _run(cfg: RunConfig, task_fn: Callable, tasks, tally: Tally, sink: Callable) -> Tally:
-    """Fold ``task_fn`` of each task into ``tally`` and hand it to ``sink``, in
-    task order: in this process, or as ``cfg.workers`` pool processes deliver
-    it, with BLAS held to one thread either way.  The first task to raise, in
-    task order, raises here whatever the worker count."""
+def _run(cfg: RunConfig, block_fn: Callable, blocks, tally: Tally, sink: Callable) -> Tally:
+    """Fold the records of ``block_fn`` of each block into ``tally`` and hand
+    them to ``sink``, in order: in this process, or as ``cfg.workers`` pool
+    processes deliver them, with BLAS held to one thread either way.  The
+    first trial to raise, in trial order, raises here whatever the worker
+    count."""
     with blas.one_thread(), contextlib.ExitStack() as stack:
         if cfg.workers == 1:
-            records = map(task_fn, tasks)
+            records = chain.from_iterable(map(block_fn, blocks))
         else:
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=cfg.workers, initializer=blas.pin_one_thread)
             )
             stack.callback(pool.shutdown, cancel_futures=True)  # drops calls a failure left queued
-            records = _pool_map(pool, cfg.workers, task_fn, tasks)
+            records = _pool_map(pool, cfg.workers, block_fn, blocks)
         for record in records:
             tally.add(record)
             sink(record)
     return tally
 
 
-def _verify_task(task) -> TrialRecord:
-    cfg, ineq, idx = task
-    try:
-        return run_trial(cfg, ineq, idx)
-    except MeanCertError as exc:
-        raise _failed(f"{ineq}:{idx}", exc) from exc
+def _verify_block(block):
+    """The records of a block ``(cfg, [(id, trial), ...])`` of verify trials,
+    in order: the block's draws first, then each trial's check."""
+    cfg, trials = block
+    stacked = [t for t in trials if not CERTIFIERS[t[0]].draws_in_trial]
+    drawn = dict(zip(stacked, _draw_block([_trial_job(cfg, *t) for t in stacked])))
+    for ineq, idx in trials:
+        d = drawn.get((ineq, idx))
+        try:
+            if isinstance(d, Exception):
+                raise d
+            record = run_trial(cfg, ineq, idx, d)
+        except MeanCertError as exc:
+            raise _failed(f"{ineq}:{idx}", exc) from exc
+        yield record
 
 
 def run_verify(cfg: RunConfig, sink: Callable = lambda record: None) -> Tally:
@@ -354,12 +445,13 @@ def run_verify(cfg: RunConfig, sink: Callable = lambda record: None) -> Tally:
     Raises :class:`TrialFailed` for the first failed trial in canonical
     order, whatever the selection order or the worker count.
     """
-    tasks = (
-        (cfg, ineq, idx)
+    trials = (
+        (ineq, idx)
         for ineq in CANONICAL_IDS if ineq in cfg.inequality_selection
         for idx in range(cfg.trials_per_inequality)
     )
-    return _run(cfg, _verify_task, tasks, Tally(), sink)
+    blocks = _blocks(trials, lambda t: _dim_cap(cfg, t[1])[0])
+    return _run(cfg, _verify_block, ((cfg, block) for block in blocks), Tally(), sink)
 
 
 def _cell_label(ineq: str, v, tau, lam, dim: int) -> str:
@@ -502,21 +594,43 @@ def summary_table(summaries: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_report(select, rng, dim, cap, v, tau, lam, tol_scale) -> CertificateReport:
-    entry = CERTIFIERS[select]
-    return _check(select, entry.sweep_draw(rng, dim, cap), entry.sweep_cell(v, tau, lam), tol_scale)
+def _sweep_job(cfg: RunConfig, draw: Callable, rank: int, cell: tuple, t: int) -> tuple:
+    """The ``(draw, rng, dim, cap)`` of trial ``t`` of the ``rank``-th kept grid cell."""
+    rng = SeedPath(cfg.master_seed, rank * cfg.trials_per_inequality + t).rng()
+    return draw, rng, cell[3], cfg.cond_caps[t % len(cfg.cond_caps)]
 
 
-def _sweep_task(task) -> TrialRecord:
-    """Trial ``t`` of the ``kept_rank``-th kept grid cell."""
-    cfg, select, kept_rank, (v, tau, lam, dim), t = task
-    rng = SeedPath(cfg.master_seed, kept_rank * cfg.trials_per_inequality + t).rng()
-    cap = cfg.cond_caps[t % len(cfg.cond_caps)]
-    try:
-        report = _sweep_report(select, rng, dim, cap, v, tau, lam, cfg.tolerance_scale)
-    except MeanCertError as exc:
-        raise _failed(f"{_cell_label(select, v, tau, lam, dim)}:{t}", exc) from exc
-    return _record(select, dim, cap, t, (v, tau, lam), report)
+def _sweep_draw(select: str) -> Callable:
+    """A sweep trial's draw as ``(operands, None)``: its params are its grid cell's."""
+    draw = CERTIFIERS[select].sweep_draw
+    return lambda rng, dim, cap: (draw(rng, dim, cap), None)
+
+
+def _sweep_report(select, cfg, rank, cell, t, operands=None) -> CertificateReport:
+    """The report of trial ``t`` of the ``rank``-th kept grid cell ``cell =
+    (v, tau, lam, dim)``; ``operands`` as its block drew them, or without
+    them drawn on a block of one, with the same bits."""
+    if operands is None:
+        operands, _ = _drawn_alone(_sweep_job(cfg, _sweep_draw(select), rank, cell, t))
+    v, tau, lam, _ = cell
+    return _check(select, operands, CERTIFIERS[select].sweep_cell(v, tau, lam), cfg.tolerance_scale)
+
+
+def _sweep_block(block):
+    """The records of a block ``(cfg, select, [(rank, cell, t), ...])`` of
+    sweep trials, in order: the block's draws first, then each trial's check."""
+    cfg, select, trials = block
+    draw = _sweep_draw(select)
+    drawn = _draw_block([_sweep_job(cfg, draw, *trial) for trial in trials])
+    for (rank, cell, t), d in zip(trials, drawn):
+        try:
+            if isinstance(d, Exception):
+                raise d
+            report = _sweep_report(select, cfg, rank, cell, t, d[0])
+        except MeanCertError as exc:
+            raise _failed(f"{_cell_label(select, *cell)}:{t}", exc) from exc
+        v, tau, lam, dim = cell
+        yield _record(select, dim, cfg.cond_caps[t % len(cfg.cond_caps)], t, (v, tau, lam), report)
 
 
 def run_sweep(cfg: RunConfig, grid: dict, select: str, sink: Callable = lambda record: None) -> Tally:
@@ -541,12 +655,11 @@ def run_sweep(cfg: RunConfig, grid: dict, select: str, sink: Callable = lambda r
     ]
     if not kept:
         raise ConfigError("sweep grid is empty after constraint filtering")
-    tasks = (
-        (cfg, select, rank, cell, t)
-        for rank, cell in enumerate(kept)
-        for t in range(cfg.trials_per_inequality)
+    trials = (
+        (rank, cell, t) for rank, cell in enumerate(kept) for t in range(cfg.trials_per_inequality)
     )
-    return _run(cfg, _sweep_task, tasks, Tally(True, len(cells) - len(kept)), sink)
+    blocks = ((cfg, select, block) for block in _blocks(trials, lambda trial: trial[1][3]))
+    return _run(cfg, _sweep_block, blocks, Tally(True, len(cells) - len(kept)), sink)
 
 
 def sweep_json(cfg: RunConfig, select: str, tally: Tally) -> str:

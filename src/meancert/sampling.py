@@ -4,16 +4,29 @@ Every generator accepts either a :class:`SeedPath` or an already-derived
 ``numpy.random.Generator``.  A SeedPath fully determines every draw of a
 trial: the same ``(master_seed, trial_index)`` reproduces bit-identical
 instances on any schedule, so trials can run on any worker in any order.
+
+Matrix operands are made in two steps, so that a block of trials can share
+the LAPACK and certification calls: :func:`draw_spd` and
+:func:`draw_invertible` take a trial's randoms from its generator, in the
+order the one-step samplers take them, and return a :class:`MatrixDraw`;
+:func:`form_operands` then forms every draw of a block, one stacked QR
+(:func:`random_unitaries`) and one stacked certificate
+(:meth:`SpdMatrix.from_spectra`) per kind and dimension.  Each item of a
+stack equals its per-matrix computation bit for bit, so an operand does not
+depend on the block it was formed in.  Above dimension 45, where a stack
+would hold one operand, the draw forms it at once.  :func:`random_spd` and
+:func:`random_invertible` are the two steps on a block of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .certifiers import BoundsHypothesis, spread_hypothesis_verdicts
-from .errors import ConstructionFailure
+from .errors import ConstructionFailure, MeanCertError
 from .linalg import SpdMatrix
 from .means import ScalarPair, check_positive
 
@@ -79,17 +92,40 @@ def _rng(seed) -> np.random.Generator:
     raise TypeError(f"expected SeedPath or Generator, got {type(seed).__name__}")
 
 
-def random_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-like random unitary: QR of a complex Gaussian, phases fixed.
+def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A complex Gaussian ``dim x dim`` matrix: the real part's draws, then the imaginary part's."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
-    The phase fixing (dividing out the R diagonal's phases) makes the result
-    a deterministic function of the Gaussian draw.
+
+def random_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of complex Gaussian matrices ``z`` ``(N, n, n)``:
+    one stacked QR, then each ``Q`` times the phases of its ``R`` diagonal
+    (Mezzadri, "How to generate random matrices from the classical compact
+    groups", Notices AMS 2007).
+
+    The phase fixing makes each unitary a deterministic function of its
+    Gaussian draw, and the stacked QR gives each item the bits of a QR of that
+    item alone.
     """
-    rng = _rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def random_unitary(dim: int, seed) -> np.ndarray:
+    """A Haar unitary: :func:`random_unitaries` of one Gaussian draw."""
+    return random_unitaries(_gaussian(dim, _rng(seed))[None])[0]
+
+
+class MatrixDraw(NamedTuple):
+    """The randoms of one matrix operand, taken in its trial's order:
+    ``values`` (a spectrum or singular values), then one complex Gaussian per
+    unitary factor.  One Gaussian makes ``U diag(values) U*``, certified
+    positive definite; two make ``U diag(values) V*``.  :func:`form_operands`
+    forms it."""
+
+    values: np.ndarray
+    gaussians: tuple
 
 
 def _draw_spectrum(spec: SpectrumSpec, rng: np.random.Generator) -> np.ndarray:
@@ -106,14 +142,20 @@ def _draw_spectrum(spec: SpectrumSpec, rng: np.random.Generator) -> np.ndarray:
     return np.clip(picks * jitter, lo, hi)
 
 
+def draw_spd(spec: SpectrumSpec, seed):
+    """The randoms of :func:`random_spd`: a spectrum per ``spec``, then a
+    unitary's Gaussian, as a :class:`MatrixDraw`; above dimension 45 the
+    matrix they form."""
+    rng = _rng(seed)
+    w = _draw_spectrum(spec, rng)
+    return _deferred(MatrixDraw(w, (_gaussian(spec.dim, rng),)))
+
+
 def random_spd(spec: SpectrumSpec, seed) -> SpdMatrix:
     """Random positive definite matrix with spectrum drawn per ``spec``,
     conjugated by a random unitary: certified from the drawn ``(u, w)``
-    (:meth:`SpdMatrix.from_spectrum`), which it carries as its decomposition."""
-    rng = _rng(seed)
-    w = _draw_spectrum(spec, rng)
-    u = random_unitary(spec.dim, rng)
-    return SpdMatrix.from_spectrum(u, w)
+    (:meth:`SpdMatrix.from_spectra`), which it carries as its decomposition."""
+    return _formed(draw_spd(spec, seed))
 
 
 def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, SpdMatrix]:
@@ -162,21 +204,94 @@ def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, 
     )
 
 
-def random_invertible(dim: int, cond_cap: float, seed) -> np.ndarray:
-    """Random invertible matrix ``U diag(s) V*`` with condition at most ``cond_cap``.
-
-    Singular values are log-uniform in ``[cond_cap^-1/2, cond_cap^1/2]``;
-    ``cond_cap = 1`` yields a unitary.
-    """
+def draw_invertible(dim: int, cond_cap: float, seed):
+    """The randoms of :func:`random_invertible`: singular values, then two
+    unitaries' Gaussians, as a :class:`MatrixDraw`; above dimension 45 the
+    matrix they form."""
     check_positive("cond_cap", cond_cap)
     if cond_cap < 1:
         raise ValueError(f"cond_cap must be at least 1, got {cond_cap}")
     rng = _rng(seed)
     half = 0.5 * np.log(cond_cap)
     s = np.exp(rng.uniform(-half, half, size=dim))
-    u = random_unitary(dim, rng)
-    v = random_unitary(dim, rng)
-    return (u * s) @ v.conj().T
+    return _deferred(MatrixDraw(s, (_gaussian(dim, rng), _gaussian(dim, rng))))
+
+
+def random_invertible(dim: int, cond_cap: float, seed) -> np.ndarray:
+    """Random invertible matrix ``U diag(s) V*`` with condition at most ``cond_cap``.
+
+    Singular values are log-uniform in ``[cond_cap^-1/2, cond_cap^1/2]``;
+    ``cond_cap = 1`` yields a unitary.
+    """
+    return _formed(draw_invertible(dim, cond_cap, seed))
+
+
+#: Entries of one stacked array: 4096 complex doubles (64 KiB), one n = 64
+#: matrix.  glibc's default mmap and trim thresholds are 128 KiB: at or above
+#: them, freed memory goes back to the system and its pages fault in again
+#: at the next allocation.  Stacks of two n = 64 matrices took about 46,000
+#: page faults per suite-large run, where one matrix at a time took a handful.
+_STACK_ENTRIES = 64 * 8 * 8
+
+
+def form_operands(trials: list) -> list:
+    """Form the :class:`MatrixDraw` operands of a block of trials.
+
+    ``trials`` holds each trial's operand tuple.  The draws of one kind and
+    dimension are formed together, in stacks of at most
+    :data:`_STACK_ENTRIES` entries: one :func:`random_unitaries` per unitary
+    factor, then one :meth:`SpdMatrix.from_spectra` or one stacked
+    ``U diag(s) V*``.  Returns each trial's tuple with its draws replaced by
+    what they form, or the error of its first operand that fails
+    certification; the other trials keep their operands.
+    """
+    groups: dict = {}
+    for t, operands in enumerate(trials):
+        for i, op in enumerate(operands):
+            if isinstance(op, MatrixDraw):
+                groups.setdefault((len(op.gaussians), op.values.size), []).append((t, i, op))
+    if not groups:
+        return trials
+    out = [list(operands) for operands in trials]
+    for (_, n), members in groups.items():
+        size = max(1, _STACK_ENTRIES // (n * n))
+        for start in range(0, len(members), size):
+            stack = members[start:start + size]
+            for (t, i, _), item in zip(stack, _form_stack([op for _, _, op in stack])):
+                out[t][i] = item
+    return [next((op for op in ops if isinstance(op, MeanCertError)), tuple(ops)) for ops in out]
+
+
+def _form_stack(draws: list) -> list:
+    """The operands of draws of one kind and dimension: per draw, its
+    :class:`SpdMatrix` or certification error (one Gaussian), or its
+    ``U diag(s) V*`` (two)."""
+    values = np.array([d.values for d in draws])
+    u, *v = (random_unitaries(np.array(z)) for z in zip(*(d.gaussians for d in draws)))
+    if not v:
+        return SpdMatrix.from_spectra(u, values)
+    return (u * values[:, None, :]) @ v[0].conj().swapaxes(-1, -2)
+
+
+def _deferred(draw: MatrixDraw):
+    """``draw``, for its block to form in a stack; or, where a stack would
+    hold it alone (n > 45), the operand it forms now, with the same bits, so
+    that its Gaussians are freed before the trial's next draw (holding a
+    block's Gaussians of that size until they are formed faults pages in
+    again, as :data:`_STACK_ENTRIES` describes)."""
+    return _formed(draw) if _STACK_ENTRIES // draw.values.size**2 < 2 else draw
+
+
+def _formed(draw):
+    """The operand a draw of :func:`draw_spd` or :func:`draw_invertible`
+    forms on its own (a draw formed at once is that operand); raises its
+    certification's error."""
+    if not isinstance(draw, MatrixDraw):
+        return draw
+    (operand,) = _form_stack([draw])
+    if isinstance(operand, MeanCertError):
+        raise operand
+    return operand
 
 
 def sample_power(seed) -> float:

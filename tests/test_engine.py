@@ -161,9 +161,8 @@ def test_hs_margins_from_drawn_decomposition_match_eig_hermitian(ineq, monkeypat
     # operands rebuilt by the constructor, whose decomposition is eig_hermitian's
     cfg = RunConfig()
     drawn = [runner.run_trial(cfg, ineq, i) for i in range(cfg.trials_per_inequality)]
-    monkeypatch.setattr(
-        SpdMatrix, "from_spectrum", classmethod(lambda cls, u, w: cls((u * w) @ u.conj().T))
-    )
+    rebuilt = classmethod(lambda cls, u, w: [cls((uk * wk) @ uk.conj().T) for uk, wk in zip(u, w)])
+    monkeypatch.setattr(SpdMatrix, "from_spectra", rebuilt)
     for got in drawn:
         want = runner.run_trial(cfg, ineq, got.trial_index)
         assert got.verdict == want.verdict, got.trial_index

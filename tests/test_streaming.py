@@ -169,10 +169,12 @@ def test_trial_failure_names_the_first_in_canonical_order(monkeypatch):
     for ineq in ("scalar_agh", "gap_ratio"):
         entry = dataclasses.replace(runner.CERTIFIERS[ineq], draw=_raising)
         monkeypatch.setitem(runner.CERTIFIERS, ineq, entry)
-    cfg = load_config(None, {"inequality_selection": ("gap_ratio", "scalar_agh"),
-                             "trials_per_inequality": 2})
-    with pytest.raises(TrialFailed, match=r"^trial scalar_agh:0 failed"):
-        runner.run_verify(cfg)
+    # both ids in one block, and (40 trials each at dim 8) across two blocks
+    for trials in (2, 40):
+        cfg = load_config(None, {"inequality_selection": ("gap_ratio", "scalar_agh"),
+                                 "trials_per_inequality": trials, "dims": (8,)})
+        with pytest.raises(TrialFailed, match=r"^trial scalar_agh:0 failed"):
+            runner.run_verify(cfg)
 
 
 class _EagerPool:
@@ -206,17 +208,47 @@ def _fail_above_1000(t):
     return t
 
 
+def _abs_block(block):
+    return map(abs, block)
+
+
+def _fail_above_1000_block(block):
+    return map(_fail_above_1000, block)
+
+
 def test_pool_map_keeps_task_order_in_a_bounded_window():
+    # one pool call per block; dims up to 8 make blocks of 64 trials
     pool, workers = _EagerPool(), 2
-    window = runner._CHUNKS_PER_WORKER * workers
-    n = 3 * window * runner._CHUNK + 5
-    assert list(runner._pool_map(pool, workers, abs, (-t for t in range(n)))) == list(range(n))
+    window = runner._BLOCKS_PER_WORKER * workers
+    size = runner._BLOCK_ENTRIES // 64
+    n = 3 * window * size + 5
+
+    def blocks(values):
+        return runner._blocks(values, lambda t: 8)
+
+    got = list(runner._pool_map(pool, workers, _abs_block, blocks(-t for t in range(n))))
+    assert got == list(range(n))
     assert pool.most_in_flight == window
-    # every chunk past trial 1000 raises: the first of them raises, after every earlier record
+    # every block past trial 1000 raises: the first of them raises, after every earlier record
     seen = []
     with pytest.raises(TrialFailed, match=r"^trial 1001$"):
-        seen.extend(runner._pool_map(_EagerPool(), workers, _fail_above_1000, iter(range(n))))
-    assert seen == list(range(1000 // runner._CHUNK * runner._CHUNK))
+        failing = blocks(iter(range(n)))
+        seen.extend(runner._pool_map(_EagerPool(), workers, _fail_above_1000_block, failing))
+    assert seen == list(range(1000 // size * size))
+
+
+def test_blocks_keep_within_the_entry_budget():
+    dims = [1, 8, 32, 64, 2, 32, 32, 32, 32, 5] * 20
+    blocks = list(runner._blocks(iter(range(len(dims))), dims.__getitem__))
+    assert [t for block in blocks for t in block] == list(range(len(dims)))
+    for block in blocks:
+        costs = [max(dims[t], 8) ** 2 for t in block]
+        assert sum(costs) <= runner._BLOCK_ENTRIES or len(block) == 1
+    # each block is as long as the budget allows: the next trial would not fit
+    for block, after in zip(blocks, blocks[1:]):
+        assert sum(max(dims[t], 8) ** 2 for t in block + after[:1]) > runner._BLOCK_ENTRIES
+    assert max(map(len, blocks)) <= 64
+    assert all(len(b) == 1 for b in runner._blocks(iter(range(10)), lambda t: 64))
 
 
 def test_an_id_selected_twice_runs_once():
