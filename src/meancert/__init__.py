@@ -9,7 +9,6 @@ sharpness probes for the stated limits.
 
 from .errors import (
     ConfigError,
-    ConstructionFailure,
     ConvergenceFailure,
     DegenerateInput,
     DimensionMismatch,

@@ -57,10 +57,6 @@ class HypothesisViolated(MeanCertError):
         return type(self), (self.check_name, self.margin)
 
 
-class ConstructionFailure(MeanCertError):
-    """A randomized constructor exhausted its retries."""
-
-
 class ConfigError(MeanCertError):
     """Invalid run configuration."""
 

@@ -129,7 +129,11 @@ class Certifier:
     A draw may return its matrix operands as :class:`~meancert.sampling.MatrixDraw`
     randoms, which the trial's block forms (:func:`_draw_block`).  With
     ``draws_in_trial`` the draw runs inside its trial, on a block of one: for
-    a draw that picks its next randoms from an operand it has formed.
+    a draw that makes an eigensolve (``spread_gap_cap``'s ``A``), so that it
+    runs in its own trial.  A block's draw phase runs before the block's
+    trials, where the benchmark's traced run, which traces trials again one
+    by one and compares their eigensolver calls, would count it in another
+    trial.
     """
 
     draw: Callable
@@ -251,7 +255,7 @@ CERTIFIERS = {
     "matrix_half_weight_gap": Certifier(
         _then(_spd_pair, _v(0.02, 0.5)), row=lambda p: (p["v"], 0.5, None)
     ),
-    # the ordered pair draws A from B's proven bound
+    # the ordered pair certifies A from its entries, by an eigensolve
     "spread_gap_cap": Certifier(_draw_spread_gap_cap, draws_in_trial=True),
     # the Hilbert-Schmidt bounds compare squared norms: power 2
     "hs_gap_ratio": Certifier(

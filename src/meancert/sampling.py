@@ -25,18 +25,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .certifiers import BoundsHypothesis, spread_hypothesis_verdicts
-from .errors import ConstructionFailure, MeanCertError
-from .linalg import SpdMatrix
+from .certifiers import BoundsHypothesis
+from .errors import MeanCertError
+from .linalg import EPS, SpdMatrix
 from .means import ScalarPair, check_positive
 
-#: Interior guard applied to ordered-pair spectra so the hypothesis checks
-#: pass at zero tolerance despite rounding (see random_ordered_pair).
+#: Relative interior guard of an ordered pair's two spectra, ``B``'s in
+#: ``[m, M]`` and ``C``'s in ``[0, 1]``, so that the hypothesis holds at zero
+#: tolerance despite rounding (see random_ordered_pair).
 ORDERED_SPECTRUM_GUARD = 1e-6
-
-#: Spectral gap (relative to the upper bound) below which the ordered pair
-#: collapses to A = B.
-ORDERED_COLLAPSE_GUARD = 1e-8
 
 DISTRIBUTIONS = ("log-uniform", "clustered")
 
@@ -161,47 +158,45 @@ def random_spd(spec: SpectrumSpec, seed) -> SpdMatrix:
 def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, SpdMatrix]:
     """Ordered pair with ``m I <= A <= B <= M I``, exact at zero tolerance.
 
-    ``B`` gets a spectrum drawn strictly inside ``[m, M]`` (guard band
-    ``ORDERED_SPECTRUM_GUARD`` relative) and is certified from it
-    (:meth:`SpdMatrix.from_spectrum`), then a positive perturbation with
-    norm below B's proven spectral gap over ``m`` is subtracted to form
-    ``A``; the perturbation keeps a small definite floor so ``B - A`` stays
-    positive semidefinite after rounding.  The four checks of
-    :func:`~meancert.certifiers.spread_hypothesis_verdicts` are re-verified
-    at tol 0 before returning, with up to 10 retries.
+    With ``F = U diag(sqrt(w - m))`` and ``C = V diag(c) V*``, the pair is
+    ``B = U diag(w) U*`` and ``A = m I + F C F*``, so that ``A - m I = F C F*``,
+    ``B - A = F (I - C) F*`` and ``M I - B = U diag(M - w) U*``.  With
+    ``g = ORDERED_SPECTRUM_GUARD``, ``c`` lies in ``[g, 1 - g]``: near 0
+    (``A`` near ``m I``), near 1 (``A`` near ``B``) or uniform, a third
+    each.  ``w`` is log-uniform at least ``g m`` above ``m`` and ``g M``
+    below ``M`` (a quarter of the band ``M - m`` where that is less), so
+    the three differences are at least ``g (min(w) - m)``; the floor of
+    ``w`` keeps that above ``R = (n + 2) eps M``, the rounding of a formed
+    entry.  Where the band is too narrow for that (``g (M - m) / 4 <= R``,
+    as at ``m == M``) the pair is ``A = B = m I``.  ``B`` is certified from
+    ``(U, w)`` (:meth:`SpdMatrix.from_spectrum`) and ``A`` from its entries.
+    Every random is drawn up front, ``U`` and ``V`` from one stacked
+    :func:`random_unitaries`, and no order is checked.
 
     Raises
     ------
     ValueError
         Unless ``0 < m <= M`` (finite), as :class:`BoundsHypothesis` requires.
-    ConstructionFailure
-        If no draw passes the self-check within the retry budget.
     """
-    bounds = BoundsHypothesis(m, M)
+    BoundsHypothesis(m, M)
     rng = _rng(seed)
-    if m == M:
+    g, rounding = ORDERED_SPECTRUM_GUARD, (dim + 2) * EPS * M
+    if g * (M - m) / 4 <= rounding:
         a = SpdMatrix(m * np.eye(dim))
         return a, a
-    for _ in range(10):
-        guard = ORDERED_SPECTRUM_GUARD
-        w = np.exp(rng.uniform(np.log(m * (1 + guard)), np.log(M * (1 - guard)), size=dim))
-        u = random_unitary(dim, rng)
-        b = SpdMatrix.from_spectrum(u, w)
-        gap = b.min_eig - m
-        if gap <= ORDERED_COLLAPSE_GUARD * M:
-            a = b
-        else:
-            cap = gap - 0.5 * ORDERED_COLLAPSE_GUARD * M
-            floor = min(1e-12 * M, cap)
-            d = rng.uniform(floor, cap, size=dim)
-            v = random_unitary(dim, rng)
-            delta = (v * d) @ v.conj().T
-            a = SpdMatrix(b.mat - (delta + delta.conj().T) / 2)
-        if all(c.holds for c in spread_hypothesis_verdicts(a, b, bounds, 0.0).values()):
-            return a, b
-    raise ConstructionFailure(
-        f"could not build an ordered pair for dim={dim}, m={m}, M={M} in 10 attempts"
-    )
+    lo = m + min(max(g * m, rounding / g), (M - m) / 4)
+    hi = M - min(g * M, (M - m) / 4)
+    w = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
+    side = rng.integers(3)
+    if side == 2:
+        c = rng.uniform(g, 1 - g, size=dim)
+    else:
+        c = np.exp(rng.uniform(np.log(g), np.log(0.5), size=dim))
+        c = 1 - c if side else c
+    u, v = random_unitaries(np.stack([_gaussian(dim, rng), _gaussian(dim, rng)]))
+    b = SpdMatrix.from_spectrum(u, w)
+    f = (u * np.sqrt(w - m)) @ v
+    return SpdMatrix(m * np.eye(dim) + (f * c) @ f.conj().T), b
 
 
 def draw_invertible(dim: int, cond_cap: float, seed):

@@ -5,6 +5,7 @@ the captured output of a failing run).
 """
 
 import contextlib
+import csv
 import hashlib
 import json
 import time
@@ -14,7 +15,14 @@ import pytest
 
 import scalar_oracles as oracle
 from hermitian import random_hermitian
-from test_cli import PINNED_NUMPY
+from test_cli import (
+    HASWELL,
+    HASWELL_NO_AVX512,
+    PINNED_NUMPY,
+    SKYLAKEX,
+    SKYLAKEX_NO_AVX512,
+    report_platform,
+)
 from meancert import (
     BoundsHypothesis,
     SpdMatrix,
@@ -31,8 +39,29 @@ from meancert import certifiers, cli
 from meancert.sampling import SeedPath, random_ordered_pair
 
 
-#: SHA-256 of the default verify CSV at seed 20260808 (under PINNED_NUMPY).
-DEFAULT_VERIFY_SHA256 = "6a82a9d622288e44f19125b0c907a3b6b96c1c415137a8d54c34d4923a5fed52"
+#: SHA-256 of the default verify CSV at seed 20260808, by report platform.
+DEFAULT_VERIFY_SHA256 = {
+    SKYLAKEX: "d54c2b021e497b256dce96e9f7ec688d2d8325574226b184bac0303a734a0e8f",
+    SKYLAKEX_NO_AVX512: "e39a0db4142b49e7107a03e116545203f6272acc1ce5ec1bb60999f6f862ba04",
+    HASWELL: "3ad46ee2e91b15bf44d5fcec7e182893356bf4999fb29ed45b630616aa6f10c8",
+    HASWELL_NO_AVX512: "0d735deeba6a4e5043f5a22507df706fb6b52ec70b1de94e9673399a184c4f95",
+}
+#: The columns that match on every platform pinned above: all but the
+#: margins and the tolerance, which carry the BLAS kernels' and the SIMD
+#: dispatch's rounding.
+PORTABLE_COLUMNS = (
+    "inequality_id", "dim", "v", "tau", "lambda", "cond_cap", "trial_index", "verdict", "degenerate",
+)
+#: SHA-256 of the default verify CSV's PORTABLE_COLUMNS (a line per row, no
+#: header) under PINNED_NUMPY, on any CPU.
+DEFAULT_VERIFY_PORTABLE_SHA256 = "b3fb2b3da2c3b7b1ca20f80563e7b27a3a5b7127a11bf154349eb1b0a159a8c2"
+
+
+def portable_sha256(path) -> str:
+    with open(path, newline="") as fh:
+        rows = csv.DictReader(fh)
+        lines = "".join(",".join(row[c] for c in PORTABLE_COLUMNS) + "\n" for row in rows)
+    return hashlib.sha256(lines.encode()).hexdigest()
 
 
 @contextlib.contextmanager
@@ -66,7 +95,10 @@ def test_criterion_1_full_suite_pass(tmp_path):
                 if margin_text:
                     assert float(margin_text) >= -10.0 * tol, row
         if np.__version__ == PINNED_NUMPY:
-            assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_VERIFY_SHA256
+            assert portable_sha256(out) == DEFAULT_VERIFY_PORTABLE_SHA256
+        raw = DEFAULT_VERIFY_SHA256.get(report_platform())
+        if raw is not None:
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == raw
 
 
 def test_criterion_2_scalar_oracle_equivalence():

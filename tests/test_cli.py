@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 
@@ -8,7 +9,7 @@ from meancert import certifiers, cli
 from meancert.config import CANONICAL_IDS, load_config
 from meancert.errors import ConfigError
 from meancert.sampling import MIN_REL_SEPARATION
-from meancert import runner
+from meancert import blas, runner
 
 
 def run_cli(args):
@@ -530,18 +531,68 @@ def test_margin_columns_follow_the_report(monkeypatch, ineq):
     assert [record.margin_lower, record.margin_upper] == margins + [None] * (2 - len(margins))
 
 
-#: numpy version the report pins below were taken under.  The matrix rows
-#: carry LAPACK's bits, so another numpy (or its bundled OpenBLAS) may move
-#: them without any change to meancert.
+#: numpy version the report pins were taken under.  The matrix rows carry
+#: LAPACK's bits, so another numpy (or its bundled OpenBLAS) may move them
+#: without any change to meancert.
 PINNED_NUMPY = "2.4.6"
 
+#: numpy's AVX-512 dispatch targets: its SIMD ``exp`` and ``log`` move the
+#: draws by ulps between them.
+AVX512_TARGETS = ("AVX512_SKX", "AVX512_ICL", "AVX512_SPR")
+
+
+def openblas_core() -> str | None:
+    """The name of the OpenBLAS kernel set numpy's BLAS runs on this CPU
+    (``OPENBLAS_CORETYPE`` overrides it), or None for another BLAS."""
+    for path in blas._loaded_openblas_paths():
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def report_platform() -> tuple:
+    """What a report's raw bytes depend on besides meancert: the numpy
+    version, the OpenBLAS kernel set (the matrix rows' LAPACK bits) and the
+    AVX-512 dispatch targets numpy enables (``NPY_DISABLE_CPU_FEATURES``
+    turns them off)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        return np.__version__, openblas_core(), None
+    targets = tuple(t for t in AVX512_TARGETS if __cpu_features__.get(t))
+    return np.__version__, openblas_core(), targets
+
+
+#: The platforms the raw pins were taken on: OpenBLAS's SkylakeX and
+#: Haswell kernels, each with and without numpy's AVX-512 dispatch.
+SKYLAKEX = (PINNED_NUMPY, "SkylakeX", AVX512_TARGETS)
+SKYLAKEX_NO_AVX512 = (PINNED_NUMPY, "SkylakeX", ())
+HASWELL = (PINNED_NUMPY, "Haswell", AVX512_TARGETS)
+HASWELL_NO_AVX512 = (PINNED_NUMPY, "Haswell", ())
+
 #: SHA-256 of each sweepable id's JSON sweep over PIN_GRID at seed 7, 20
-#: trials (report schema 1.1, which no longer echoes the output path).
+#: trials (report schema 1.1, which no longer echoes the output path), on
+#: the SkylakeX kernels.
 SWEEP_PINS = {
     "gap_ratio": "b27a652a95d85a5d3fae7d01fca17dc16cc56379dc77dd2cb1a26d5576906244",
     "matrix_gap_ratio": "f01ce9b9e6f0df3dc018ea4677896782fbc60cf06ef3aeba16074ff542c7cf0b",
     "hs_gap_ratio": "12a776b1399b524097b413ab882655bd71f1f197ff92fc2536193e32b60185d7",
     "det_root_gap": "b191f3a3637167b2ecbe11dd6d6d1eb3354a2f4935848728182edcdee66e5f9f",
+}
+#: The sweeps the Haswell kernels move, with numpy's AVX-512 dispatch and
+#: without it.
+HASWELL_SWEEP_PINS = {
+    **SWEEP_PINS,
+    "matrix_gap_ratio": "d2f5095ad347b0ece03289cc2b9502716d0b04a90c787ca5326b4875834090e5",
+    "hs_gap_ratio": "e53a26b3042912ad6e68e9b82ec3e87dd50b91bc2db29768dc74cb165a39750f",
+}
+HASWELL_NO_AVX512_SWEEP_PINS = {
+    **HASWELL_SWEEP_PINS,
+    "hs_gap_ratio": "d915e0258c7a3f05842a5238750e08990028bd64ce9c2226180bd22159210aa6",
 }
 #: SHA-256 of probe reports, keyed by the probe flags and the report format.
 PROBE_PINS = {
@@ -568,13 +619,22 @@ PROBE_PINS = {
 }
 PIN_GRID = "v = 0.25, 0.6\ntau = 0.5, 0.75\nlambda = 1, 2\ndim = 1, 3, 8\n"
 
+#: The sweep and probe pins of each platform (:func:`report_platform`).
+REPORT_PINS = {
+    SKYLAKEX: {**SWEEP_PINS, **PROBE_PINS},
+    SKYLAKEX_NO_AVX512: {**SWEEP_PINS, **PROBE_PINS},
+    HASWELL: {**HASWELL_SWEEP_PINS, **PROBE_PINS},
+    HASWELL_NO_AVX512: {**HASWELL_NO_AVX512_SWEEP_PINS, **PROBE_PINS},
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.skipif(
-    np.__version__ != PINNED_NUMPY, reason=f"report pins were taken under numpy {PINNED_NUMPY}"
+    report_platform() not in REPORT_PINS,
+    reason=f"report pins were taken under numpy {PINNED_NUMPY} on other BLAS kernels or dispatch",
 )
 def test_sweep_and_probe_reports_pinned(tmp_path, monkeypatch):
     # every report takes its default path inside tmp_path
@@ -589,4 +649,4 @@ def test_sweep_and_probe_reports_pinned(tmp_path, monkeypatch):
     for flags, fmt in PROBE_PINS:
         assert run_cli(["probe", *flags.split(), "--format", fmt]) == 0
         got[flags, fmt] = sha256(tmp_path / f"probe_report.{fmt}")
-    assert got == {**SWEEP_PINS, **PROBE_PINS}
+    assert got == REPORT_PINS[report_platform()]

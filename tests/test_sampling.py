@@ -142,6 +142,85 @@ class TestOrderedPair:
         with pytest.raises(ValueError):
             random_ordered_pair(2, 0.0, 1.0, SeedPath(14, 0))
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 64])
+    @pytest.mark.parametrize("width", [1e-15, 1e-13, 1e-12, 1e-9, 1e-7, 2e-6, 1e-5])
+    def test_narrow_bounds(self, width, n):
+        from meancert.certifiers import BoundsHypothesis, spread_hypothesis_verdicts
+
+        for k in range(3):
+            m = 0.7 * (k + 1)
+            big = m * (1 + width)
+            a, b = random_ordered_pair(n, m, big, SeedPath(23, k))
+            verdicts = spread_hypothesis_verdicts(a, b, BoundsHypothesis(m, big), tol=0.0)
+            assert all(v.holds for v in verdicts.values()), (width, n, k)
+
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    def test_wide_bounds_keep_the_spectrum_off_m(self, n):
+        from meancert.certifiers import BoundsHypothesis, spread_hypothesis_verdicts
+        from meancert.linalg import EPS
+        from meancert.sampling import ORDERED_SPECTRUM_GUARD as guard
+
+        for k, cap in enumerate((1e6, 1e7, 1e8) * 4):
+            m = 0.01 * (k + 1)
+            a, b = random_ordered_pair(n, m, m * cap, SeedPath(25, 100 * n + k))
+            verdicts = spread_hypothesis_verdicts(a, b, BoundsHypothesis(m, m * cap), tol=0.0)
+            assert all(v.holds for v in verdicts.values())
+            # the floor that lifts g (min(w) - m), the exact margins, above the rounding
+            assert b.eig.eigenvalues[-1] - m >= (n + 2) * EPS * m * cap / guard
+
+    def test_operands_cover_the_interval_between_m_and_b(self):
+        # criterion 6's law: the ratio ||B - A|| / ||B - mI|| is 0 at A = B, 1 at A = mI
+        ratios = []
+        for k in range(2000):
+            n = k % 8 + 1
+            rng = SeedPath(777, k).rng()
+            m = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
+            big = m * float(np.exp(rng.uniform(0.0, np.log(1e6))))
+            a, b = random_ordered_pair(n, m, big, rng)
+            ratios.append(np.linalg.norm(b.mat - a.mat, 2) / np.linalg.norm(b.mat - m * np.eye(n), 2))
+        ratios = np.array(ratios)
+        assert np.median(ratios) > 0.2
+        assert np.mean(ratios < 0.05) >= 0.1  # A near B
+        assert np.mean(ratios > 0.95) >= 0.1  # A near m I
+
+    def test_makes_no_order_check(self, monkeypatch):
+        from meancert import certifiers, linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler ran an order check")
+
+        for module, name in ((linalg, "loewner_leq"), (certifiers, "loewner_leq"),
+                             (certifiers, "spread_hypothesis_verdicts")):
+            monkeypatch.setattr(module, name, refuse)
+        for k, (n, m, big) in enumerate(((1, 1.0, 2.0), (5, 0.01, 1e4), (64, 3.0, 3e8))):
+            a, b = random_ordered_pair(n, m, big, SeedPath(24, k))
+            assert a is not b and a.dim == b.dim == n
+
+    def test_spread_trial_linalg_calls(self, monkeypatch):
+        from meancert import runner
+        from meancert.config import load_config
+
+        cfg = load_config(None, {})
+        assert cfg.master_seed == 20260808
+        calls = dict.fromkeys(("eigvalsh", "eigh", "qr", "cholesky", "inv"), 0)
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        trials = 200
+        for k in range(trials):
+            runner.run_trial(cfg, "spread_gap_cap", k)
+        # the certifier's three order checks and its margin: the sampler checks no order
+        assert calls["eigvalsh"] == 4 * trials
+        # A's certificate and the spectral pair's; B is certified from its drawn spectrum
+        assert calls["eigh"] == 2 * trials
+        assert calls["qr"] == trials  # U and V from one stacked QR
+
 
 class TestRandomInvertible:
     def test_unitary_at_cap_one(self):
