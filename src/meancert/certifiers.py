@@ -392,7 +392,7 @@ def check_matrix_half_weight_gap(
 
 
 def spread_hypothesis_verdicts(
-    a: SpdMatrix, b: SpdMatrix, bounds: BoundsHypothesis, tol: float
+    a: HermitianMatrix, b: SpdMatrix, bounds: BoundsHypothesis, tol: float
 ) -> dict[str, OrderVerdict]:
     """The four order checks of the hypothesis ``0 < mI <= A <= B <= MI``, each at ``tol``."""
     n = a.dim
@@ -408,14 +408,15 @@ def spread_hypothesis_verdicts(
 
 
 def check_spread_gap_cap(
-    a: SpdMatrix, b: SpdMatrix, v: float, bounds: BoundsHypothesis, tol_scale: float = 1.0
+    a: HermitianMatrix, b: SpdMatrix, v: float, bounds: BoundsHypothesis, tol_scale: float = 1.0
 ) -> CertificateReport:
     """One-argument cap on the matrix gap under ``0 < mI <= A <= B <= MI``:
 
         ``A nabla_v B - A !_v B <= v(1-v) (1 - M/m)^2 B``.
 
     The four hypothesis checks run first and a failing one raises
-    :class:`HypothesisViolated` naming it.
+    :class:`HypothesisViolated` naming it; they bound ``A`` below by ``m I``,
+    so ``A`` need not be certified.
     """
     means.check_weight(v)
     hyp_tol = default_loewner_tol(a, b) * tol_scale

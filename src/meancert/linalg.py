@@ -113,18 +113,16 @@ class SpdMatrix(HermitianMatrix):
     ``min_eig`` is a proven lower bound on the smallest eigenvalue.  Unless
     it exceeds ``SPD_MIN_EIG_FACTOR * ||A||_F`` (every downstream use assumes
     a stable inverse exists), construction raises :class:`NotPositiveDefinite`;
-    a decomposition that misses :func:`eig_hermitian`'s quality gates raises
-    :class:`ConvergenceFailure`.  Both constructors certify through one
-    stacked step, :func:`_certificates`, here on a stack of one.
+    a decomposition that fails or misses :func:`eig_hermitian`'s quality
+    gates raises :class:`ConvergenceFailure`.  Both constructors certify
+    through one stacked step, :func:`_certificates`, here on a stack of one.
     """
 
     __slots__ = ("min_eig", "eig")
 
     def __init__(self, entries):
         super().__init__(entries)
-        w, u = np.linalg.eigh(self.mat)
-        w, u = w[::-1].copy(), u[:, ::-1].copy()  # eig_hermitian's order and layout
-        product = (u * w) @ u.conj().T
+        u, w, product = _eigh(self.mat)
         self.min_eig, self.eig = _raised(
             _certificates(self.mat[None], u[None], w[None], product[None])[0]
         )
@@ -257,14 +255,20 @@ def eig_hermitian(h: HermitianMatrix) -> EigenDecomposition:
     """
     if not isinstance(h, HermitianMatrix):
         h = HermitianMatrix(h)
+    u, w, product = _eigh(h.mat)
+    _raised(_quality_gates(h.mat[None], u[None], product[None])[3][0])
+    return EigenDecomposition(unitary=_read_only(u), eigenvalues=_read_only(w))
+
+
+def _eigh(mat: np.ndarray) -> tuple:
+    """``(u, w, U diag(w) U*)`` from ``eigh`` of ``mat``, ``w`` non-increasing and
+    both contiguous copies; a failed solve raises :class:`ConvergenceFailure`."""
     try:
-        w, u = np.linalg.eigh(h.mat)
+        w, u = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    w = w[::-1].copy()
-    u = u[:, ::-1].copy()
-    _raised(_quality_gates(h.mat[None], u[None], ((u * w) @ u.conj().T)[None])[3][0])
-    return EigenDecomposition(unitary=_read_only(u), eigenvalues=_read_only(w))
+    w, u = w[::-1].copy(), u[:, ::-1].copy()
+    return u, w, (u * w) @ u.conj().T
 
 
 def _quality_gates(mats: np.ndarray, u: np.ndarray, products: np.ndarray) -> tuple:

@@ -29,8 +29,8 @@ BLAS thread count either.
 
 A typed :class:`~meancert.errors.MeanCertError` raised by one trial's draw
 or check escapes as :class:`~meancert.errors.TrialFailed`, whose message
-names the trial; a draw's error is raised in its trial's turn, so the
-trial named is the first to fail in canonical order.
+names the trial; a draw's error is raised in its trial's turn
+(:func:`_in_turn`), so the trial named is the first to fail in canonical order.
 """
 
 from __future__ import annotations
@@ -127,20 +127,16 @@ class Certifier:
     weight hypotheses.
 
     A draw may return its matrix operands as :class:`~meancert.sampling.MatrixDraw`
-    randoms, which the trial's block forms (:func:`_draw_block`).  With
-    ``draws_in_trial`` the draw runs inside its trial, on a block of one: for
-    a draw that makes an eigensolve (``spread_gap_cap``'s ``A``), so that it
-    runs in its own trial.  A block's draw phase runs before the block's
-    trials, where the benchmark's traced run, which traces trials again one
-    by one and compares their eigensolver calls, would count it in another
-    trial.
+    randoms, which the trial's block forms (:func:`_draw_block`).  A draw
+    makes no eigensolve: it runs in its block's draw phase, before the
+    block's trials, where the benchmark's traced run, which counts
+    eigensolver calls per trial, would count it in another trial.
     """
 
     draw: Callable
     row: Callable = lambda params: (params.get("v"), params.get("tau"), params.get("lam"))
     sweep_draw: Callable | None = None
     sweep_cell: Callable | None = None
-    draws_in_trial: bool = False
 
 
 def _spd_pair(rng, dim, cond_cap):
@@ -255,8 +251,7 @@ CERTIFIERS = {
     "matrix_half_weight_gap": Certifier(
         _then(_spd_pair, _v(0.02, 0.5)), row=lambda p: (p["v"], 0.5, None)
     ),
-    # the ordered pair certifies A from its entries, by an eigensolve
-    "spread_gap_cap": Certifier(_draw_spread_gap_cap, draws_in_trial=True),
+    "spread_gap_cap": Certifier(_draw_spread_gap_cap),
     # the Hilbert-Schmidt bounds compare squared norms: power 2
     "hs_gap_ratio": Certifier(
         _then(_spd_pair_x, _ordered("v", "tau")),
@@ -361,10 +356,6 @@ def run_trial(cfg: RunConfig, inequality_id: str, local_index: int, drawn=None) 
     return _record(inequality_id, dim, cap, local_index, row, report)
 
 
-def _failed(label: str, exc: MeanCertError) -> TrialFailed:
-    return TrialFailed(f"trial {label} failed: {type(exc).__name__}: {exc}")
-
-
 #: A block's budget of matrix entries, a trial counting ``max(dim, 8)^2``:
 #: 64 trials up to n = 8, 4 at n = 32 and 1 at n = 64.  It bounds the draws
 #: a block holds until it forms them, and the records a pool call returns.
@@ -425,21 +416,25 @@ def _run(cfg: RunConfig, block_fn: Callable, blocks, tally: Tally, sink: Callabl
     return tally
 
 
-def _verify_block(block):
-    """The records of a block ``(cfg, [(id, trial), ...])`` of verify trials,
-    in order: the block's draws first, then each trial's check."""
-    cfg, trials = block
-    stacked = [t for t in trials if not CERTIFIERS[t[0]].draws_in_trial]
-    drawn = dict(zip(stacked, _draw_block([_trial_job(cfg, *t) for t in stacked])))
-    for ineq, idx in trials:
-        d = drawn.get((ineq, idx))
+def _in_turn(trials: list, jobs: list, label: Callable, record: Callable):
+    """``record(trial, drawn)`` of each trial in order, after the block's draws
+    (:func:`_draw_block` of ``jobs``).  A held draw error or a check's error
+    raises in its trial's turn, as a :class:`TrialFailed` naming ``label(trial)``."""
+    for trial, drawn in zip(trials, _draw_block(jobs)):
         try:
-            if isinstance(d, Exception):
-                raise d
-            record = run_trial(cfg, ineq, idx, d)
+            if isinstance(drawn, Exception):
+                raise drawn
+            yield record(trial, drawn)
         except MeanCertError as exc:
-            raise _failed(f"{ineq}:{idx}", exc) from exc
-        yield record
+            raise TrialFailed(f"trial {label(trial)} failed: {type(exc).__name__}: {exc}") from exc
+
+
+def _verify_block(block):
+    """The records of a block ``(cfg, [(id, trial), ...])`` of verify trials, in order."""
+    cfg, trials = block
+    # run_trial is looked up per call, so a wrapper set on this module is seen
+    return _in_turn(trials, [_trial_job(cfg, *t) for t in trials], lambda t: f"{t[0]}:{t[1]}",
+                    lambda t, drawn: run_trial(cfg, *t, drawn))
 
 
 def run_verify(cfg: RunConfig, sink: Callable = lambda record: None) -> Tally:
@@ -621,20 +616,17 @@ def _sweep_report(select, cfg, rank, cell, t, operands=None) -> CertificateRepor
 
 
 def _sweep_block(block):
-    """The records of a block ``(cfg, select, [(rank, cell, t), ...])`` of
-    sweep trials, in order: the block's draws first, then each trial's check."""
+    """The records of a block ``(cfg, select, [(rank, cell, t), ...])`` of sweep trials, in order."""
     cfg, select, trials = block
     draw = _sweep_draw(select)
-    drawn = _draw_block([_sweep_job(cfg, draw, *trial) for trial in trials])
-    for (rank, cell, t), d in zip(trials, drawn):
-        try:
-            if isinstance(d, Exception):
-                raise d
-            report = _sweep_report(select, cfg, rank, cell, t, d[0])
-        except MeanCertError as exc:
-            raise _failed(f"{_cell_label(select, *cell)}:{t}", exc) from exc
-        v, tau, lam, dim = cell
-        yield _record(select, dim, cfg.cond_caps[t % len(cfg.cond_caps)], t, (v, tau, lam), report)
+
+    def record(trial, drawn):
+        rank, cell, t = trial
+        report = _sweep_report(select, cfg, rank, cell, t, drawn[0])  # looked up per call
+        return _record(select, cell[3], cfg.cond_caps[t % len(cfg.cond_caps)], t, cell[:3], report)
+
+    return _in_turn(trials, [_sweep_job(cfg, draw, *t) for t in trials],
+                    lambda t: f"{_cell_label(select, *t[1])}:{t[2]}", record)
 
 
 def run_sweep(cfg: RunConfig, grid: dict, select: str, sink: Callable = lambda record: None) -> Tally:

@@ -15,7 +15,8 @@ order the one-step samplers take them, and return a :class:`MatrixDraw`;
 stack equals its per-matrix computation bit for bit, so an operand does not
 depend on the block it was formed in.  Above dimension 45, where a stack
 would hold one operand, the draw forms it at once.  :func:`random_spd` and
-:func:`random_invertible` are the two steps on a block of one.
+:func:`random_invertible` are the two steps on a block of one.  No draw
+makes an eigensolve: :func:`random_ordered_pair` forms its pair at once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .certifiers import BoundsHypothesis
 from .errors import MeanCertError
-from .linalg import EPS, SpdMatrix
+from .linalg import EPS, HermitianMatrix, SpdMatrix
 from .means import ScalarPair, check_positive
 
 #: Relative interior guard of an ordered pair's two spectra, ``B``'s in
@@ -155,7 +156,7 @@ def random_spd(spec: SpectrumSpec, seed) -> SpdMatrix:
     return _formed(draw_spd(spec, seed))
 
 
-def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, SpdMatrix]:
+def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[HermitianMatrix, SpdMatrix]:
     """Ordered pair with ``m I <= A <= B <= M I``, exact at zero tolerance.
 
     With ``F = U diag(sqrt(w - m))`` and ``C = V diag(c) V*``, the pair is
@@ -169,9 +170,10 @@ def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, 
     ``w`` keeps that above ``R = (n + 2) eps M``, the rounding of a formed
     entry.  Where the band is too narrow for that (``g (M - m) / 4 <= R``,
     as at ``m == M``) the pair is ``A = B = m I``.  ``B`` is certified from
-    ``(U, w)`` (:meth:`SpdMatrix.from_spectrum`) and ``A`` from its entries.
+    ``(U, w)`` (:meth:`SpdMatrix.from_spectrum`); ``A``, positive definite by
+    construction, is a :class:`HermitianMatrix` that the certifier checks.
     Every random is drawn up front, ``U`` and ``V`` from one stacked
-    :func:`random_unitaries`, and no order is checked.
+    :func:`random_unitaries`; no order is checked and no eigensolve made.
 
     Raises
     ------
@@ -182,7 +184,7 @@ def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, 
     rng = _rng(seed)
     g, rounding = ORDERED_SPECTRUM_GUARD, (dim + 2) * EPS * M
     if g * (M - m) / 4 <= rounding:
-        a = SpdMatrix(m * np.eye(dim))
+        a = SpdMatrix.from_spectrum(np.eye(dim), np.full(dim, m))
         return a, a
     lo = m + min(max(g * m, rounding / g), (M - m) / 4)
     hi = M - min(g * M, (M - m) / 4)
@@ -196,7 +198,7 @@ def random_ordered_pair(dim: int, m: float, M: float, seed) -> tuple[SpdMatrix, 
     u, v = random_unitaries(np.stack([_gaussian(dim, rng), _gaussian(dim, rng)]))
     b = SpdMatrix.from_spectrum(u, w)
     f = (u * np.sqrt(w - m)) @ v
-    return SpdMatrix(m * np.eye(dim) + (f * c) @ f.conj().T), b
+    return HermitianMatrix(m * np.eye(dim) + (f * c) @ f.conj().T), b
 
 
 def draw_invertible(dim: int, cond_cap: float, seed):

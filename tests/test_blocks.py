@@ -146,6 +146,24 @@ def test_draws_a_stack_would_hold_alone_are_formed_at_once(n):
     assert np.array_equal(x, (u * s) @ v.conj().T)
 
 
+def test_no_draw_makes_an_eigensolve(monkeypatch):
+    # every draw runs in its block's draw phase, before the block's trials;
+    # the benchmark's traced run counts eigensolver calls per trial span, so
+    # an eigensolve made there would be counted in another trial
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw made an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    draws = {ineq: entry.draw for ineq, entry in runner.CERTIFIERS.items()}
+    draws.update({f"{s} (sweep)": runner._sweep_draw(s) for s in runner.SWEEPABLE_IDS})
+    cases = itertools.product(draws.items(), (1, 2, 8, 32, 64), (1e2, 1e6, 1e8))
+    for k, ((name, draw), dim, cap) in enumerate(cases):
+        jobs = [(draw, SeedPath(26, 3 * k + t).rng(), dim, cap) for t in range(3)]
+        for drawn in runner._draw_block(jobs):
+            assert not isinstance(drawn, Exception), (name, dim, cap, drawn)
+
+
 # ---------------------------------------------------------------------------
 # a record does not depend on its block
 # ---------------------------------------------------------------------------

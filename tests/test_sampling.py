@@ -217,8 +217,9 @@ class TestOrderedPair:
             runner.run_trial(cfg, "spread_gap_cap", k)
         # the certifier's three order checks and its margin: the sampler checks no order
         assert calls["eigvalsh"] == 4 * trials
-        # A's certificate and the spectral pair's; B is certified from its drawn spectrum
-        assert calls["eigh"] == 2 * trials
+        # the spectral pair's only: B is certified from its drawn spectrum, and A
+        # is a HermitianMatrix the certifier checks
+        assert calls["eigh"] == trials
         assert calls["qr"] == trials  # U and V from one stacked QR
 
 
