@@ -16,11 +16,16 @@ chains; two-sided bounds on ratios of powered gaps; the half-weight (tau =
 cap for ordered pairs; Hilbert-Schmidt norm versions weighted by a third
 matrix; and determinant versions.  Two probes confirm that stated bounds
 are sharp by walking toward their limits.
+
+The Hilbert-Schmidt and determinant checks are stacked: ``stacked_<id>`` checks
+trials of one dimension with one call per LAPACK routine, each getting the report
+or error it gets alone; ``check_<id>`` takes its item or a stack of one (:func:`_one`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +40,8 @@ from .linalg import (
     hs_norm,
     loewner_leq,
     order_verdict,
+    _or_error,
+    _raised,
 )
 from .means import ScalarPair
 
@@ -120,6 +127,12 @@ def _degenerate(tol: float) -> CertificateReport:
     return CertificateReport(True, {}, float(tol), True, None)
 
 
+def _one(kernel, item, operands: tuple, params: dict, tol_scale: float) -> CertificateReport:
+    """A checked trial's report: its ``item`` of a stacked call of ``kernel``, or ``kernel``
+    on a stack of one; an error held there is raised."""
+    return _raised(kernel([(operands, params)], tol_scale)[0] if item is None else item)
+
+
 def _check_weight_order(v: float, tau: float, strict: bool = False):
     """Both weights in ``(0, 1)``, then ``v <= tau`` (``v < tau`` if ``strict``)."""
     means.check_weight(v, open_interval=True)
@@ -163,7 +176,15 @@ def _gap_ratio_sides(v: float, tau: float, x, y, power: int = 1):
     """Sides of ``(v/tau)^p P_tau <= P_v <= ((1-v)/(1-tau))^p P_tau`` with
     ``P_w = A_w^p - H_w^p``, and the ``P_tau`` they compare against."""
     p_v, p_tau = _gap_power(v, x, y, power), _gap_power(tau, x, y, power)
-    return p_v - (v / tau) ** power * p_tau, ((1 - v) / (1 - tau)) ** power * p_tau - p_v, p_tau
+    lower, upper = _power(v / tau, power), _power((1 - v) / (1 - tau), power)
+    return p_v - lower * p_tau, upper * p_tau - p_v, p_tau
+
+
+def _power(base, p: int):
+    """``base ** p`` in Python floats, also over an array (a stack's weights), with their bits."""
+    if isinstance(base, np.ndarray):
+        return np.reshape([x**p for x in base.ravel().tolist()], base.shape)
+    return base**p
 
 
 def _cap_factor(v: float, spread: float) -> float:
@@ -435,21 +456,24 @@ def check_spread_gap_cap(
 # ---------------------------------------------------------------------------
 
 
-def _one_sided(a: SpdMatrix, b: SpdMatrix, x) -> means.OneSidedPair:
-    """The one-sided pair of ``(A, B, X)``, with ``X`` checked invertible as
-    :func:`meancert.means.x_harm` requires."""
-    pair = means.one_sided_pair(a, b, x)
-    means.check_invertible(pair.y)
-    return pair
-
-
-def _hs_scale(pair: means.OneSidedPair, v: float, maps=(means.arith_map, means.harm_map)) -> float:
-    """The sum of the squared Hilbert-Schmidt norms of the one-sided means ``maps`` at ``v``."""
+def _hs_scale(pair: means.OneSidedPair, v, maps=(means.arith_map, means.harm_map)) -> list:
+    """The sums of the squared Hilbert-Schmidt norms of the one-sided means ``maps`` at ``v``."""
     return pair.weighted_sum(sum(f(v, *pair.axes) ** 2 for f in maps))
 
 
+def _hs_stack(trials: list, sums, report) -> list:
+    """A Hilbert-Schmidt check of each trial ``((a, b, x), params)`` of a stack of one dimension, or
+    its error: one stacked step forms the one-sided pairs, checks each ``X`` invertible (as ``x_harm``
+    requires) and takes ``sums(pair, **weights)``, weights ``(N, 1, 1)``; then each ``report``."""
+    a, b, x = zip(*(operands for operands, _ in trials))
+    pair = means.one_sided_pairs(a, b, np.array(x, dtype=np.complex128))
+    weights = {name: np.array([p[name] for _, p in trials])[:, None, None] for name in trials[0][1]}
+    rows = zip(trials, means.singular_errors(pair.y), *sums(pair, **weights))
+    return [singular or _or_error(report, *ops, *row, **p) for (ops, p), singular, *row in rows]
+
+
 def check_hs_gap_ratio(
-    a: SpdMatrix, b: SpdMatrix, x, v: float, tau: float, tol_scale: float = 1.0
+    a: SpdMatrix, b: SpdMatrix, x, v: float, tau: float, tol_scale: float = 1.0, stacked=None
 ) -> CertificateReport:
     """Squared-norm gap-ratio bounds for the one-sided means, ``0 < v <= tau < 1``:
 
@@ -461,19 +485,30 @@ def check_hs_gap_ratio(
     ``|D(tau)|``), since that is the comparison's actual conditioning.
     """
     _check_weight_order(v, tau)
-    pair = _one_sided(a, b, x)
-    above, below, dden = map(pair.weighted_sum, _gap_ratio_sides(v, tau, *pair.axes, 2))
-    sden = _hs_scale(pair, tau)
-    if abs(dden) <= HS_DENOMINATOR_FLOOR * (sden + 1.0):
-        return _degenerate(TOL_RATE * tol_scale)
-    margins = {"above_lower": above / dden, "below_upper": below / dden}
-    ratio = (v / tau) ** 2 + margins["above_lower"]
-    tol = TOL_RATE * tol_scale * ((_hs_scale(pair, v) + abs(ratio) * sden) / abs(dden) + 1.0)
-    return _finish(margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v, "tau": tau})
+    xm = means._check_x(a, b, x)
+    return _one(stacked_hs_gap_ratio, stacked, (a, b, xm), {"v": v, "tau": tau}, tol_scale)
+
+
+def stacked_hs_gap_ratio(trials: list, tol_scale: float = 1.0) -> list:
+    """:func:`check_hs_gap_ratio` of each checked trial of a stack (:func:`_hs_stack`)."""
+
+    def sums(pair, v, tau):
+        sides = map(pair.weighted_sum, _gap_ratio_sides(v, tau, *pair.axes, 2))
+        return (*sides, _hs_scale(pair, tau), _hs_scale(pair, v))
+
+    def report(a, b, x, above, below, dden, sden, scale_v, v, tau):
+        if abs(dden) <= HS_DENOMINATOR_FLOOR * (sden + 1.0):
+            return _degenerate(TOL_RATE * tol_scale)
+        margins = {"above_lower": above / dden, "below_upper": below / dden}
+        ratio = (v / tau) ** 2 + margins["above_lower"]
+        tol = TOL_RATE * tol_scale * ((scale_v + abs(ratio) * sden) / abs(dden) + 1.0)
+        return _finish(margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v, "tau": tau})
+
+    return _hs_stack(trials, sums, report)
 
 
 def check_hs_agh_chain(
-    a: SpdMatrix, b: SpdMatrix, x, v: float, tol_scale: float = 1.0
+    a: SpdMatrix, b: SpdMatrix, x, v: float, tol_scale: float = 1.0, stacked=None
 ) -> CertificateReport:
     """Squared-norm chain for the one-sided means:
 
@@ -481,16 +516,27 @@ def check_hs_agh_chain(
           >= ||x_harm(A, B, X, v)||_F^2``.
     """
     means.check_weight(v)
-    pair = _one_sided(a, b, x)
-    geo_minus_harm, arith_minus_geo = map(pair.weighted_sum, _agh_sides(v, *pair.axes, 2))
-    scale = _hs_scale(pair, v, (means.arith_map, means.geo_map, means.harm_map))
-    tol = TOL_RATE * tol_scale * (scale + 1.0)
-    margins = {"arith_minus_geo": arith_minus_geo, "geo_minus_harm": geo_minus_harm}
-    return _finish(margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v})
+    xm = means._check_x(a, b, x)
+    return _one(stacked_hs_agh_chain, stacked, (a, b, xm), {"v": v}, tol_scale)
+
+
+def stacked_hs_agh_chain(trials: list, tol_scale: float = 1.0) -> list:
+    """:func:`check_hs_agh_chain` of each checked trial of a stack (:func:`_hs_stack`)."""
+
+    def sums(pair, v):
+        sides = map(pair.weighted_sum, _agh_sides(v, *pair.axes, 2))
+        return (*sides, _hs_scale(pair, v, (means.arith_map, means.geo_map, means.harm_map)))
+
+    def report(a, b, x, geo_minus_harm, arith_minus_geo, scale, v):
+        tol = TOL_RATE * tol_scale * (scale + 1.0)
+        margins = {"arith_minus_geo": arith_minus_geo, "geo_minus_harm": geo_minus_harm}
+        return _finish(margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v})
+
+    return _hs_stack(trials, sums, report)
 
 
 def check_hs_half_weight_gap(
-    a: SpdMatrix, b: SpdMatrix, x, v: float, tol_scale: float = 1.0
+    a: SpdMatrix, b: SpdMatrix, x, v: float, tol_scale: float = 1.0, stacked=None
 ) -> CertificateReport:
     """Squared-norm gap against the half-weight gap, ``0 < v <= 1/2``:
 
@@ -499,11 +545,23 @@ def check_hs_half_weight_gap(
     with ``D`` as in :func:`check_hs_gap_ratio`.
     """
     means.check_half_weight(v)
-    pair = _one_sided(a, b, x)
-    above_lower, below_upper, _ = map(pair.weighted_sum, _gap_ratio_sides(v, 0.5, *pair.axes, 2))
-    tol = TOL_RATE * tol_scale * (_hs_scale(pair, v) + _hs_scale(pair, 0.5) + 1.0)
-    margins = {"above_lower": above_lower, "below_upper": below_upper}
-    return _finish(margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v})
+    xm = means._check_x(a, b, x)
+    return _one(stacked_hs_half_weight_gap, stacked, (a, b, xm), {"v": v}, tol_scale)
+
+
+def stacked_hs_half_weight_gap(trials: list, tol_scale: float = 1.0) -> list:
+    """:func:`check_hs_half_weight_gap` of each checked trial of a stack (:func:`_hs_stack`)."""
+
+    def sums(pair, v):
+        sides = _gap_ratio_sides(v, 0.5, *pair.axes, 2)[:2]
+        return (*map(pair.weighted_sum, sides), _hs_scale(pair, v), _hs_scale(pair, 0.5))
+
+    def report(a, b, x, above_lower, below_upper, scale_v, scale_half, v):
+        tol = TOL_RATE * tol_scale * (scale_v + scale_half + 1.0)
+        margins = {"above_lower": above_lower, "below_upper": below_upper}
+        return _finish(margins, tol, {"A": a, "B": b, "X": np.asarray(x), "v": v})
+
+    return _hs_stack(trials, sums, report)
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +569,19 @@ def check_hs_half_weight_gap(
 # ---------------------------------------------------------------------------
 
 
-def _det_power_difference(a: SpdMatrix, b: SpdMatrix, v: float, p: float) -> tuple[float, float]:
+def _det_stack(trials: list, report, gap: bool = True) -> list:
+    """A determinant check of each trial ``((a, b), params)`` of a stack of one dimension,
+    ``report(a, b, logs, **params)`` or the error it raises alone, with its log-determinants
+    from one stacked step (:func:`~meancert.means.mean_logdets`; the gap at ``tau`` if ``gap``)."""
+    a, b = (np.array([operands[i].mat for operands, _ in trials]) for i in (0, 1))
+    tau = [p["tau"] for _, p in trials] if gap else None
+    rows = zip(trials, means.mean_logdets(a, b, [p["v"] for _, p in trials], tau))
+    return [_or_error(report, *ops, ld, **p) if isinstance(ld, tuple) else ld for (ops, p), ld in rows]
+
+
+def _det_power_difference(log_x: float, log_y: float, p: float) -> tuple[float, float]:
     """``(x^p - y^p, x^p + y^p)`` for ``x = det(A nabla_v B)``, ``y = det(A !_v B)``, from
     their logs: the difference without cancellation or inf - inf, and its tol's scale."""
-    log_x, log_y = means.logdet_arith(a, b, v), means.logdet_harm(a, b, v)
     with np.errstate(over="ignore"):
         x_p = np.exp(p * log_x)
         delta = np.expm1(p * (log_y - log_x))
@@ -523,7 +590,7 @@ def _det_power_difference(a: SpdMatrix, b: SpdMatrix, v: float, p: float) -> tup
 
 
 def check_det_power_order(
-    a: SpdMatrix, b: SpdMatrix, v: float, lam: float, tol_scale: float = 1.0
+    a: SpdMatrix, b: SpdMatrix, v: float, lam: float, tol_scale: float = 1.0, stacked=None
 ) -> CertificateReport:
     """Determinant order ``det(A !_v B)^lam <= det(A nabla_v B)^lam``.
 
@@ -532,9 +599,18 @@ def check_det_power_order(
     """
     means.check_weight(v)
     means.check_power(lam)
-    margin, scale = _det_power_difference(a, b, v, lam)
-    tol = TOL_RATE * tol_scale * (scale + 1.0)
-    return _finish({"det_power_gap": margin}, tol, {"A": a, "B": b, "v": v, "lam": lam})
+    return _one(stacked_det_power_order, stacked, (a, b), {"v": v, "lam": lam}, tol_scale)
+
+
+def stacked_det_power_order(trials: list, tol_scale: float = 1.0) -> list:
+    """:func:`check_det_power_order` of each checked trial of a stack (:func:`_det_stack`)."""
+
+    def report(a, b, logs, v, lam):
+        margin, scale = _det_power_difference(*logs, lam)
+        tol = TOL_RATE * tol_scale * (scale + 1.0)
+        return _finish({"det_power_gap": margin}, tol, {"A": a, "B": b, "v": v, "lam": lam})
+
+    return _det_stack(trials, report, gap=False)
 
 
 def check_minkowski_products(a_vec, b_vec, tol_scale: float = 1.0) -> CertificateReport:
@@ -572,7 +648,8 @@ def check_power_difference(a: float, b: float, lam: float, tol_scale: float = 1.
 
 
 def check_det_root_gap(
-    a: SpdMatrix, b: SpdMatrix, v: float, tau: float, lam: float, tol_scale: float = 1.0
+    a: SpdMatrix, b: SpdMatrix, v: float, tau: float, lam: float, tol_scale: float = 1.0,
+    stacked=None,
 ) -> CertificateReport:
     """Determinant-root lower bound on the gap, ``0 < v <= tau < 1``, ``lam >= 1``:
 
@@ -583,6 +660,7 @@ def check_det_root_gap(
     ``G_tau`` (the two operands nearly equal) gives a degenerate report since
     its determinant root is then meaningless.  A power that exceeds double
     precision, or powers that all underflow to 0, raise :class:`PowerOverflow`.
+    The guard, an eigensolve, runs before the trial's stacked item is taken.
     """
     _check_weight_order(v, tau)
     means.check_power(lam)
@@ -590,27 +668,34 @@ def check_det_root_gap(
     gap_floor = DET_GAP_FLOOR * hs_norm(tau * a.mat + (1 - tau) * b.mat)
     if pair.min_eig(means.gap_map(tau, 1.0, pair.mu)) <= gap_floor:
         return _degenerate(TOL_RATE * tol_scale)
-    margin, tol = _det_root_margin(a, b, v, tau, lam, tol_scale)
-    return _finish({"det_root_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": tau, "lam": lam})
+    return _one(stacked_det_root_gap, stacked, (a, b), {"v": v, "tau": tau, "lam": lam}, tol_scale)
 
 
-def _det_root_margin(a: SpdMatrix, b: SpdMatrix, v, tau, lam, tol_scale) -> tuple[float, float]:
-    """Margin and tol of :func:`check_det_root_gap` past its degenerate guard."""
+def stacked_det_root_gap(trials: list, tol_scale: float = 1.0) -> list:
+    """:func:`check_det_root_gap` past its guard, of each checked trial (:func:`_det_stack`)."""
+    return _det_stack(trials, partial(_det_gap_report, "det_root_gap", tol_scale))
+
+
+def _det_gap_report(name, tol_scale, a, b, logs, v, tau, lam=None) -> CertificateReport:
+    """The report of :func:`check_det_root_gap` past its guard, margin ``name``, at ``lam``
+    (``n`` where not given), from the pair's log-determinants."""
     n = a.dim
-    ld_gap = means.logdet_gap(a, b, tau)
+    power = float(n) if lam is None else lam
+    log_x, log_y, ld_gap = logs
     with np.errstate(over="ignore", invalid="ignore"):
-        t_gap = (v / tau) ** lam * np.exp(lam / n * ld_gap)
-        diff, total = _det_power_difference(a, b, v, lam / n)
+        t_gap = (v / tau) ** power * np.exp(power / n * ld_gap)
+        diff, total = _det_power_difference(log_x, log_y, power / n)
         margin, scale = diff - t_gap, total + t_gap
     if not np.isfinite(scale):
-        raise PowerOverflow(f"a determinant to the power {lam!r}/{n} exceeds double precision")
+        raise PowerOverflow(f"a determinant to the power {power!r}/{n} exceeds double precision")
     if scale == 0.0:  # every term underflowed: the margin would read 0 and pass
-        raise PowerOverflow(f"every determinant to the power {lam!r}/{n} underflows to 0")
-    return float(margin), TOL_RATE * tol_scale * (scale + 1.0)
+        raise PowerOverflow(f"every determinant to the power {power!r}/{n} underflows to 0")
+    inputs = {"A": a, "B": b, "v": v, "tau": tau} | ({} if lam is None else {"lam": lam})
+    return _finish({name: float(margin)}, TOL_RATE * tol_scale * (scale + 1.0), inputs)
 
 
 def check_det_gap(
-    a: SpdMatrix, b: SpdMatrix, v: float, tau: float, tol_scale: float = 1.0
+    a: SpdMatrix, b: SpdMatrix, v: float, tau: float, tol_scale: float = 1.0, stacked=None
 ) -> CertificateReport:
     """Determinant gap bound, ``0 < v <= tau < 1``:
 
@@ -619,12 +704,16 @@ def check_det_gap(
     which is :func:`check_det_root_gap` at ``lam = n``, past its degenerate guard.
     """
     _check_weight_order(v, tau)
-    margin, tol = _det_root_margin(a, b, v, tau, float(a.dim), tol_scale)
-    return _finish({"det_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": tau})
+    return _one(stacked_det_gap, stacked, (a, b), {"v": v, "tau": tau}, tol_scale)
+
+
+def stacked_det_gap(trials: list, tol_scale: float = 1.0) -> list:
+    """:func:`check_det_gap` of each checked trial of a stack (:func:`_det_stack`)."""
+    return _det_stack(trials, partial(_det_gap_report, "det_gap", tol_scale))
 
 
 def check_det_half_weight_gap(
-    a: SpdMatrix, b: SpdMatrix, v: float, tol_scale: float = 1.0
+    a: SpdMatrix, b: SpdMatrix, v: float, tol_scale: float = 1.0, stacked=None
 ) -> CertificateReport:
     """Half-weight determinant bound, ``0 <= v <= 1/2``:
 
@@ -634,5 +723,10 @@ def check_det_half_weight_gap(
     endpoint.
     """
     means.check_half_weight(v, zero_ok=True)
-    margin, tol = _det_root_margin(a, b, v, 0.5, float(a.dim), tol_scale)
-    return _finish({"det_gap": margin}, tol, {"A": a, "B": b, "v": v, "tau": 0.5})
+    return _one(stacked_det_half_weight_gap, stacked, (a, b), {"v": v}, tol_scale)
+
+
+def stacked_det_half_weight_gap(trials: list, tol_scale: float = 1.0) -> list:
+    """:func:`check_det_half_weight_gap` of each checked trial of a stack (:func:`_det_stack`)."""
+    half = [(operands, {**params, "tau": 0.5}) for operands, params in trials]
+    return _det_stack(half, partial(_det_gap_report, "det_gap", tol_scale))

@@ -170,9 +170,17 @@ class SpdMatrix(HermitianMatrix):
 
 def _raised(item):
     """``item``, unless it is an error: then raise it."""
-    if isinstance(item, MeanCertError):
+    if isinstance(item, Exception):
         raise item
     return item
+
+
+def _or_error(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the error it raises, held for its trial's turn."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return exc
 
 
 def _certificates(mats, u, w, products) -> list:
@@ -396,6 +404,16 @@ def logdet_spd(p) -> float:
     once.
     """
     return 2.0 * float(np.sum(np.log(cholesky(p).diagonal().real)))
+
+
+def logdets_spd(mats: np.ndarray) -> list:
+    """:func:`logdet_spd` of each finite matrix of a stack ``(N, n, n)``, with its bits, by one
+    stacked Cholesky factorization; where that fails, of each alone, or the error it raises."""
+    try:
+        diag = np.diagonal(np.linalg.cholesky(mats), axis1=-2, axis2=-1).real
+    except np.linalg.LinAlgError:
+        return [_or_error(logdet_spd, m) for m in mats]
+    return (2.0 * np.sum(np.log(diag), axis=-1)).tolist()
 
 
 def det_hermitian(h: HermitianMatrix) -> float:

@@ -27,10 +27,10 @@ weight.  In particular the geometric mean is
 ``A^(1/2) (A^(-1/2) B A^(-1/2))^(1-v) A^(1/2)`` and the harmonic mean
 ``(v A^-1 + (1-v) B^-1)^-1``, without forming either.  Log-determinants of
 the means come from Cholesky factorizations of linear combinations of
-``A`` and ``B`` instead (:func:`logdet_arith`, :func:`logdet_harm`,
-:func:`logdet_gap`): a small ``mu_i`` carries the eigensolver's absolute
-error ``eps * max(mu)``, which a log-determinant turns into a relative one.
-A Cholesky factorization that fails, or a ``mu`` that is not positive (the
+``A`` and ``B`` instead, for a stack of pairs at once (:func:`mean_logdets`):
+a small ``mu_i`` carries the eigensolver's absolute error ``eps * max(mu)``,
+which a log-determinant turns into a relative one.  A Cholesky
+factorization that fails, or a ``mu`` that is not positive (the
 pair is beyond double precision), raises :class:`IllConditioned`; the
 eigensolver's quality gates raise :class:`ConvergenceFailure`.
 
@@ -39,9 +39,10 @@ between positive definite ``A`` (multiplying from the left) and ``B``
 (multiplying from the right): each is the scalar mean evaluated on the
 commuting pair of left- and right-multiplication operators, applied to
 ``X``.  With ``A = U diag(alpha) U*``, ``B = V diag(beta) V*`` and
-``Y = U* X V`` (:func:`one_sided_pair`), the mean is
-``U [f(alpha_i, beta_j) y_ij] V*``.  For the arithmetic mean this collapses
-to ``v A X + (1 - v) X B``; for the geometric mean, to ``A^v X B^(1-v)``.
+``Y = U* X V`` (:func:`one_sided_pairs`, for a stack of triples at once),
+the mean is ``U [f(alpha_i, beta_j) y_ij] V*``.  For the arithmetic mean
+this collapses to ``v A X + (1 - v) X B``; for the geometric mean, to
+``A^v X B^(1-v)``.
 The harmonic mean has no such closed product form; see :func:`x_harm`.
 """
 
@@ -61,7 +62,7 @@ from .errors import (
     RequiresOrdered,
     Singular,
 )
-from .linalg import EigenDecomposition, SpdMatrix, cholesky, eig_hermitian, logdet_spd
+from .linalg import SpdMatrix, cholesky, eig_hermitian
 
 #: Relative gap below which a scalar pair counts as degenerate for ratios (0/0 form).
 RATIO_DEGENERACY_GUARD = 1e-12
@@ -269,25 +270,24 @@ def spectral_pair(a: SpdMatrix, b: SpdMatrix) -> SpectralPair:
     return SpectralPair(chol @ dec.unitary, mu)
 
 
-def logdet_arith(a: SpdMatrix, b: SpdMatrix, v: float) -> float:
-    """``log det(A nabla_v B)``."""
-    return logdet_spd(v * a.mat + (1 - v) * b.mat)
-
-
-def logdet_harm(a: SpdMatrix, b: SpdMatrix, v: float) -> float:
-    """``log det(A !_v B)``, from ``det(A !_v B) = det A det B / det(v B + (1-v) A)``."""
-    return logdet_spd(a) + logdet_spd(b) - logdet_spd(v * b.mat + (1 - v) * a.mat)
-
-
-def logdet_gap(a: SpdMatrix, b: SpdMatrix, v: float) -> float:
-    """``log det(A nabla_v B - A !_v B)`` (``-inf`` when ``A - B`` is singular), from
-
-        ``A nabla_v B - A !_v B = v (1-v) (A - B) (v B + (1-v) A)^-1 (A - B)``.
-    """
-    _, logabs = np.linalg.slogdet(a.mat - b.mat)
-    return a.dim * np.log(v * (1 - v)) + 2.0 * float(logabs) - logdet_spd(
-        v * b.mat + (1 - v) * a.mat
-    )
+def mean_logdets(a: np.ndarray, b: np.ndarray, v: list, tau: list | None = None) -> list:
+    """For stacks ``a``, ``b`` ``(N, n, n)``, each item's ``log det`` of ``A nabla_v B``, of
+    ``A !_v B`` (``det A det B / det(v B + (1-v) A)``) and, with ``tau``, of ``A nabla_tau B
+    - A !_tau B = tau (1-tau) (A - B) (tau B + (1-tau) A)^-1 (A - B)`` (``-inf`` if ``A - B``
+    is singular), or its first failed factorization's error: one stacked call per term."""
+    w = np.array(v)[:, None, None]
+    terms = [w * a + (1 - w) * b, a, b, w * b + (1 - w) * a]
+    if tau is not None:
+        t = np.array(tau)[:, None, None]
+        terms.insert(0, t * b + (1 - t) * a)
+        logabs = np.linalg.slogdet(a - b)[1].tolist()
+    n, out = a.shape[-1], []
+    for k, logs in enumerate(zip(*map(linalg.logdets_spd, terms))):
+        *gap, arith, log_a, log_b, den = logs
+        error = next((x for x in logs if isinstance(x, Exception)), None)
+        gaps = (n * np.log(tau[k] * (1 - tau[k])) + 2.0 * logabs[k] - g for g in gap)
+        out.append(error or (arith, log_a + log_b - den, *gaps))
+    return out
 
 
 def _two_sided(a: SpdMatrix, b: SpdMatrix, v: float, spectral_map) -> SpdMatrix:
@@ -345,53 +345,53 @@ def _check_x(a: SpdMatrix, b: SpdMatrix, x) -> np.ndarray:
     return xm
 
 
-def check_invertible(x: np.ndarray):
-    """Raise :class:`Singular` unless ``X`` is numerically invertible.
-
-    ``Y = U* X V`` of a :class:`OneSidedPair` has the singular values of
-    ``X``, so either may be checked.
-    """
+def singular_errors(x: np.ndarray) -> list:
+    """For a stack ``x`` ``(N, n, n)``, each matrix's :class:`Singular` unless it is
+    numerically invertible (else None), from one stacked ``svd``.  ``Y = U* X V`` of a
+    :class:`OneSidedPair` has the singular values of ``X``, so either may be checked."""
     sv = np.linalg.svd(x, compute_uv=False)
-    if sv[-1] <= linalg.PIVOT_THRESHOLD * max(1.0, float(sv[0])):
-        raise Singular(f"X is numerically singular (smallest singular value {sv[-1]:.3e})")
+    message = "X is numerically singular (smallest singular value {:.3e})"
+    return [Singular(message.format(lo)) if lo <= linalg.PIVOT_THRESHOLD * max(1.0, hi) else None
+            for hi, lo in zip(sv[:, 0].tolist(), sv[:, -1].tolist())]
 
 
 @dataclass(frozen=True)
 class OneSidedPair:
-    """``A = U diag(alpha) U*`` on the left, ``B = V diag(beta) V*`` on the
+    """Stacks of ``A = U diag(alpha) U*`` on the left, ``B = V diag(beta) V*`` on the
     right, ``Y = U* X V`` and its entrywise ``|Y|^2``.
 
-    A spectral map evaluated at :attr:`axes` gives the grid
-    ``f(alpha_i, beta_j)`` of a one-sided mean; :meth:`apply` assembles the
-    matrix ``U [f_ij y_ij] V*``, and :meth:`weighted_sum` of ``f^2`` is its
-    squared Hilbert-Schmidt norm ``sum f_ij^2 |y_ij|^2``.
+    A spectral map evaluated at :attr:`axes` gives each grid ``f(alpha_i, beta_j)`` of a
+    one-sided mean; :meth:`apply` assembles ``U [f_ij y_ij] V*``, and :meth:`weighted_sum`
+    of ``f^2`` is its squared Hilbert-Schmidt norm ``sum f_ij^2 |y_ij|^2``.
     """
 
-    left: EigenDecomposition
-    right: EigenDecomposition
+    u: np.ndarray
+    alpha: np.ndarray
+    v: np.ndarray
+    beta: np.ndarray
     y: np.ndarray
     y2: np.ndarray
 
     @property
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """``alpha`` as a column and ``beta`` as a row, broadcasting to the grid."""
-        return self.left.eigenvalues[:, None], self.right.eigenvalues[None, :]
+        """``alpha`` as a column and ``beta`` as a row of each item, broadcasting to the grids."""
+        return self.alpha[:, :, None], self.beta[:, None, :]
 
     def apply(self, grid: np.ndarray) -> np.ndarray:
-        return self.left.unitary @ (grid * self.y) @ self.right.unitary.conj().T
+        return self.u @ (grid * self.y) @ self.v.conj().swapaxes(-1, -2)
 
-    def weighted_sum(self, grid: np.ndarray) -> float:
-        """``sum_ij grid_ij |y_ij|^2``."""
-        return float(np.sum(grid * self.y2))
+    def weighted_sum(self, grid: np.ndarray) -> list:
+        """Each item's ``sum_ij grid_ij |y_ij|^2``, summed as ``np.sum`` sums the item alone."""
+        return (grid * self.y2).reshape(len(self.y2), -1).sum(axis=-1).tolist()
 
 
-def one_sided_pair(a: SpdMatrix, b: SpdMatrix, x) -> OneSidedPair:
-    """The gated eigendecompositions of ``A`` and ``B`` (:attr:`SpdMatrix.eig`:
-    for sampled operands, the drawn ones), and ``Y = U* X V``."""
-    xm = _check_x(a, b, x)
-    da, db = a.eig, b.eig
-    y = da.unitary.conj().T @ xm @ db.unitary
-    return OneSidedPair(da, db, y, np.abs(y) ** 2)
+def one_sided_pairs(a: list, b: list, x: np.ndarray) -> OneSidedPair:
+    """The one-sided pairs of ``a``, ``b`` and a stack ``x``, from each :attr:`SpdMatrix.eig`
+    (the drawn decomposition, if sampled), with ``Y = U* X V`` one stacked product."""
+    u, v = (np.array([m.eig.unitary for m in ms]) for ms in (a, b))
+    y = u.conj().swapaxes(-1, -2) @ x @ v
+    alpha, beta = (np.array([m.eig.eigenvalues for m in ms]) for ms in (a, b))
+    return OneSidedPair(u, alpha, v, beta, y, np.abs(y) ** 2)
 
 
 def x_arith(a: SpdMatrix, b: SpdMatrix, x, v: float) -> np.ndarray:
@@ -407,8 +407,8 @@ def x_arith(a: SpdMatrix, b: SpdMatrix, x, v: float) -> np.ndarray:
 def x_geo(a: SpdMatrix, b: SpdMatrix, x, v: float) -> np.ndarray:
     """One-sided weighted geometric mean ``A^v X B^(1 - v)``."""
     check_weight(v)
-    pair = one_sided_pair(a, b, x)
-    return pair.apply(geo_map(v, *pair.axes))
+    pair = one_sided_pairs([a], [b], _check_x(a, b, x)[None])
+    return pair.apply(geo_map(v, *pair.axes))[0]
 
 
 def x_harm(a: SpdMatrix, b: SpdMatrix, x, v: float) -> np.ndarray:
@@ -434,9 +434,9 @@ def x_harm(a: SpdMatrix, b: SpdMatrix, x, v: float) -> np.ndarray:
         comparisons that require an invertible ``X``).
     """
     check_weight(v)
-    pair = one_sided_pair(a, b, x)
-    check_invertible(pair.y)
-    return pair.apply(harm_map(v, *pair.axes))
+    pair = one_sided_pairs([a], [b], _check_x(a, b, x)[None])
+    linalg._raised(singular_errors(pair.y)[0])
+    return pair.apply(harm_map(v, *pair.axes))[0]
 
 
 def normalized_gap(v: float, t: float) -> float:

@@ -14,23 +14,25 @@ Each (certifier, trial) pair's randomness derives only from
 ``canonical_rank * trials + local_index``.  Trials run in canonical order
 (id rank or grid cell, then trial), cut into consecutive *blocks* within
 an entry budget (:data:`_BLOCK_ENTRIES`: 64 trials up to n = 8, one at
-n = 64).  A block runs in three phases: each trial draws its randoms from
+n = 64).  A block runs in four phases: each trial draws its randoms from
 its own seed, in order; the block forms its matrix operands in one stacked
 QR and one stacked certificate per kind and dimension
-(:func:`_draw_block`); then each trial is checked and recorded, in order.
-Every stacked item has the bits of its per-matrix computation, and a trial
-run alone (:func:`run_trial` without its draw) draws on a block of one, so
-records do not depend on how trials are cut into blocks or scheduled.  A
-block is also the unit of the process pool, and records reach the writer
-in canonical order, so output files are byte-identical across runs and
-worker counts.  Runs hold BLAS to one thread (:mod:`meancert.blas`), in
-this process and in each pool worker, so the bits do not depend on the
-BLAS thread count either.
+(:func:`_draw_block`); it runs the stacked checks per id and dimension
+(:func:`_stacked_checks`); then each trial is checked and recorded, in
+order.  Every stacked item has the bits of its per-matrix computation, and
+a trial run alone (:func:`run_trial`) draws on a block of one and checks on
+a stack of one, so records do not depend on how trials are cut into blocks
+or scheduled.  A block is also the unit of the process pool, and records
+reach the writer in canonical order, so output files are byte-identical
+across runs and worker counts.  Runs hold BLAS to one thread
+(:mod:`meancert.blas`), in this process and in each pool worker, so the
+bits do not depend on the BLAS thread count either.
 
 A typed :class:`~meancert.errors.MeanCertError` raised by one trial's draw
 or check escapes as :class:`~meancert.errors.TrialFailed`, whose message
-names the trial; a draw's error is raised in its trial's turn
-(:func:`_in_turn`), so the trial named is the first to fail in canonical order.
+names the trial; a draw's or a stacked check's error is raised in its
+trial's turn (:func:`_in_turn`), so the trial named is the first to fail in
+canonical order.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import json
 from array import array
 from collections import deque
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import attrgetter, itemgetter
@@ -52,6 +53,7 @@ from . import blas, certifiers
 from .certifiers import BoundsHypothesis, CertificateReport
 from .errors import ConfigError, MeanCertError, TrialFailed
 from .sampling import (
+    _STACK_ENTRIES,
     SeedPath,
     SpectrumSpec,
     draw_invertible,
@@ -63,6 +65,8 @@ from .sampling import (
 )
 
 if TYPE_CHECKING:  # config imports this module for the certifier ids
+    from concurrent.futures import ProcessPoolExecutor
+
     from .config import RunConfig
 
 REPORT_SCHEMA_VERSION = "1.1"
@@ -279,6 +283,9 @@ CANONICAL_IDS = tuple(CERTIFIERS)
 #: Certifier families that consume the sweep grid (v, tau, lambda, dim).
 SWEEPABLE_IDS = tuple(i for i, entry in CERTIFIERS.items() if entry.sweep_draw is not None)
 
+#: Certifier ids with a stacked check, ``certifiers.stacked_<id>`` (:func:`_stacked_checks`).
+_STACKED_IDS = frozenset(i for i in CERTIFIERS if hasattr(certifiers, f"stacked_{i}"))
+
 
 def check_dims(dims, name: str = "dims"):
     """ConfigError unless ``dims`` is a nonempty list within :data:`DIM_RANGE`."""
@@ -287,9 +294,11 @@ def check_dims(dims, name: str = "dims"):
         raise ConfigError(f"{name} must be a nonempty list within [{lo}, {hi}]")
 
 
-def _check(ineq: str, operands: tuple, params: dict, tol_scale: float) -> CertificateReport:
-    # looked up per call, so a wrapper set on the certifiers module is seen
-    return getattr(certifiers, f"check_{ineq}")(*operands, **params, tol_scale=tol_scale)
+def _check(ineq: str, operands: tuple, params: dict, tol_scale: float, held=None) -> CertificateReport:
+    # check_<ineq> of a trial, given its held item of a stacked check; looked up per call,
+    # so a wrapper set on the certifiers module is seen
+    stacked = {} if held is None else {"stacked": held}
+    return getattr(certifiers, f"check_{ineq}")(*operands, **params, **stacked, tol_scale=tol_scale)
 
 
 def _record(ineq: str, dim: int, cap: float, trial_index: int, row: tuple, report) -> TrialRecord:
@@ -341,17 +350,19 @@ def _trial_job(cfg: RunConfig, inequality_id: str, local_index: int) -> tuple:
     return (CERTIFIERS[inequality_id].draw, rng, *_dim_cap(cfg, local_index))
 
 
-def run_trial(cfg: RunConfig, inequality_id: str, local_index: int, drawn=None) -> TrialRecord:
+def run_trial(
+    cfg: RunConfig, inequality_id: str, local_index: int, drawn=None, held=None
+) -> TrialRecord:
     """Run one seeded trial of one certifier; pure function of its arguments.
 
     ``drawn`` is the trial's ``(operands, params)`` as its block drew them
-    (:func:`_draw_block`); without it the trial draws them itself, on a
-    block of one, with the same bits."""
+    (:func:`_draw_block`), ``held`` its item of a stacked check; without them
+    it draws on a block of one and checks on a stack of one, with the same bits."""
     if drawn is None:
         drawn = _drawn_alone(_trial_job(cfg, inequality_id, local_index))
     operands, params = drawn
     dim, cap = _dim_cap(cfg, local_index)
-    report = _check(inequality_id, operands, params, cfg.tolerance_scale)
+    report = _check(inequality_id, operands, params, cfg.tolerance_scale, held)
     row = CERTIFIERS[inequality_id].row(params)
     return _record(inequality_id, dim, cap, local_index, row, report)
 
@@ -405,6 +416,7 @@ def _run(cfg: RunConfig, block_fn: Callable, blocks, tally: Tally, sink: Callabl
         if cfg.workers == 1:
             records = chain.from_iterable(map(block_fn, blocks))
         else:
+            from concurrent.futures import ProcessPoolExecutor  # not imported by one-worker runs
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=cfg.workers, initializer=blas.pin_one_thread)
             )
@@ -416,15 +428,36 @@ def _run(cfg: RunConfig, block_fn: Callable, blocks, tally: Tally, sink: Callabl
     return tally
 
 
-def _in_turn(trials: list, jobs: list, label: Callable, record: Callable):
-    """``record(trial, drawn)`` of each trial in order, after the block's draws
-    (:func:`_draw_block` of ``jobs``).  A held draw error or a check's error
-    raises in its trial's turn, as a :class:`TrialFailed` naming ``label(trial)``."""
-    for trial, drawn in zip(trials, _draw_block(jobs)):
+def _stacked_checks(cases: list, tol_scale: float) -> list:
+    """Each trial's item (report or held error) of ``certifiers.stacked_<id>`` for its ``(id,
+    operands, params)`` (None for None): one call per id and dimension, in stacks of at most
+    ``_STACK_ENTRIES`` entries, as :func:`~meancert.sampling.form_operands` forms operands."""
+    groups: dict = {}
+    for k, case in enumerate(cases):
+        if case is not None:
+            groups.setdefault((case[0], case[1][0].dim), []).append(k)
+    items = [None] * len(cases)
+    for (ineq, n), members in groups.items():
+        kernel, size = getattr(certifiers, f"stacked_{ineq}"), max(1, _STACK_ENTRIES // (n * n))
+        for start in range(0, len(members), size):
+            stack = members[start:start + size]
+            for k, item in zip(stack, kernel([cases[k][1:] for k in stack], tol_scale)):
+                items[k] = item
+    return items
+
+
+def _in_turn(trials: list, jobs: list, label: Callable, case: Callable, record: Callable, tol_scale):
+    """``record(trial, drawn, held)`` of each trial in order, after the block's draws
+    (:func:`_draw_block` of ``jobs``) and stacked checks (:func:`_stacked_checks` of each
+    ``case(trial, drawn)``); an error, held or not, raises in its trial's turn as a
+    :class:`TrialFailed` naming ``label(trial)``."""
+    block = _draw_block(jobs)
+    cases = [None if isinstance(d, Exception) else case(t, d) for t, d in zip(trials, block)]
+    for trial, drawn, held in zip(trials, block, _stacked_checks(cases, tol_scale)):
         try:
             if isinstance(drawn, Exception):
                 raise drawn
-            yield record(trial, drawn)
+            yield record(trial, drawn, held)
         except MeanCertError as exc:
             raise TrialFailed(f"trial {label(trial)} failed: {type(exc).__name__}: {exc}") from exc
 
@@ -434,7 +467,8 @@ def _verify_block(block):
     cfg, trials = block
     # run_trial is looked up per call, so a wrapper set on this module is seen
     return _in_turn(trials, [_trial_job(cfg, *t) for t in trials], lambda t: f"{t[0]}:{t[1]}",
-                    lambda t, drawn: run_trial(cfg, *t, drawn))
+                    lambda t, drawn: (t[0], *drawn) if t[0] in _STACKED_IDS else None,
+                    lambda t, drawn, held: run_trial(cfg, *t, drawn, held), cfg.tolerance_scale)
 
 
 def run_verify(cfg: RunConfig, sink: Callable = lambda record: None) -> Tally:
@@ -605,28 +639,32 @@ def _sweep_draw(select: str) -> Callable:
     return lambda rng, dim, cap: (draw(rng, dim, cap), None)
 
 
-def _sweep_report(select, cfg, rank, cell, t, operands=None) -> CertificateReport:
+def _sweep_report(select, cfg, rank, cell, t, operands=None, held=None) -> CertificateReport:
     """The report of trial ``t`` of the ``rank``-th kept grid cell ``cell =
-    (v, tau, lam, dim)``; ``operands`` as its block drew them, or without
-    them drawn on a block of one, with the same bits."""
+    (v, tau, lam, dim)``; ``operands`` and ``held`` as its block drew and
+    checked them, or without them on a block and a stack of one, with the same bits."""
     if operands is None:
         operands, _ = _drawn_alone(_sweep_job(cfg, _sweep_draw(select), rank, cell, t))
-    v, tau, lam, _ = cell
-    return _check(select, operands, CERTIFIERS[select].sweep_cell(v, tau, lam), cfg.tolerance_scale)
+    params = CERTIFIERS[select].sweep_cell(*cell[:3])
+    return _check(select, operands, params, cfg.tolerance_scale, held)
 
 
 def _sweep_block(block):
     """The records of a block ``(cfg, select, [(rank, cell, t), ...])`` of sweep trials, in order."""
     cfg, select, trials = block
-    draw = _sweep_draw(select)
+    draw, sweep_cell = _sweep_draw(select), CERTIFIERS[select].sweep_cell
 
-    def record(trial, drawn):
+    def case(trial, drawn):  # the trial of the stacked check, if select has one
+        return (select, drawn[0], sweep_cell(*trial[1][:3])) if select in _STACKED_IDS else None
+
+    def record(trial, drawn, held):
         rank, cell, t = trial
-        report = _sweep_report(select, cfg, rank, cell, t, drawn[0])  # looked up per call
+        report = _sweep_report(select, cfg, rank, cell, t, drawn[0], held)  # looked up per call
         return _record(select, cell[3], cfg.cond_caps[t % len(cfg.cond_caps)], t, cell[:3], report)
 
     return _in_turn(trials, [_sweep_job(cfg, draw, *t) for t in trials],
-                    lambda t: f"{_cell_label(select, *t[1])}:{t[2]}", record)
+                    lambda t: f"{_cell_label(select, *t[1])}:{t[2]}",
+                    case, record, cfg.tolerance_scale)
 
 
 def run_sweep(cfg: RunConfig, grid: dict, select: str, sink: Callable = lambda record: None) -> Tally:

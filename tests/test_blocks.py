@@ -1,8 +1,9 @@
 """Block execution: a run draws its operands a block of trials at a time,
-forms them in stacks, then checks each trial in order.  A stacked item has
-the bits of its per-matrix computation, so a record does not depend on the
-block its trial ran in, and the first trial to fail in canonical order is
-the one named, whichever phase it failed in.
+forms them in stacks, runs the stacked checks of the Hilbert-Schmidt and
+determinant ids, then checks each trial in order.  A stacked item has the
+bits of its per-matrix computation, so a record does not depend on the block
+its trial ran in, and the first trial to fail in canonical order is the one
+named, whichever phase it failed in.
 """
 
 import dataclasses
@@ -12,9 +13,17 @@ import json
 import numpy as np
 import pytest
 
-from meancert import runner
+from meancert import certifiers, runner
 from meancert.config import load_config
-from meancert.errors import ConvergenceFailure, IllConditioned, NotPositiveDefinite, TrialFailed
+from meancert.errors import (
+    ConvergenceFailure,
+    IllConditioned,
+    MeanCertError,
+    NotPositiveDefinite,
+    PowerOverflow,
+    Singular,
+    TrialFailed,
+)
 from meancert.linalg import EPS, SpdMatrix, _frobenius
 from meancert import sampling
 from meancert.sampling import MatrixDraw, SeedPath, SpectrumSpec, form_operands, random_unitaries
@@ -214,18 +223,23 @@ def test_streamed_sweep_records_equal_per_trial_reports(select):
 # ---------------------------------------------------------------------------
 
 
-def _draw_failing_at(k, phase):
-    """matrix_agh's draw, failing at its ``k``-th call: raising (phase 1), or
-    with a spectrum under the positivity gate (phase 2)."""
-    draw, calls = runner.CERTIFIERS["matrix_agh"].draw, itertools.count()
+def _draw_failing_at(ineq, k, phase):
+    """``ineq``'s draw, failing at its ``k``-th call: raising (phase 1), with a
+    spectrum under the positivity gate (phase 2), or with a singular ``X``,
+    which its stacked check holds (phase 3)."""
+    draw, calls = runner.CERTIFIERS[ineq].draw, itertools.count()
 
     def failing(rng, dim, cap):
-        (a, b), params = draw(rng, dim, cap)
+        (a, *rest), params = draw(rng, dim, cap)
         if next(calls) == k:
             if phase == 1:
                 raise IllConditioned("injected draw failure")
-            a = a._replace(values=-a.values)
-        return (a, b), params
+            if phase == 2:
+                a = a._replace(values=-a.values)
+            else:
+                b, x = rest
+                rest = [b, x._replace(values=np.concatenate([x.values[:-1], [0.0]]))]
+        return (a, *rest), params
 
     return failing
 
@@ -233,28 +247,150 @@ def _draw_failing_at(k, phase):
 def _check_failing_at(j):
     original = runner.run_trial
 
-    def run_trial(cfg, ineq, idx, drawn=None):
+    def run_trial(cfg, ineq, idx, drawn=None, held=None):
         if idx == j:
             raise IllConditioned("injected check failure")
-        return original(cfg, ineq, idx, drawn)
+        return original(cfg, ineq, idx, drawn, held)
 
     return run_trial
 
 
-@pytest.mark.parametrize("phase", (1, 2))
+@pytest.mark.parametrize("phase", (1, 2, 3))
 @pytest.mark.parametrize("draw_at, check_at", ((5, 3), (3, 5)))
 def test_first_failure_in_trial_order_is_named_across_phases(monkeypatch, phase, draw_at, check_at):
-    cfg = load_config(None, {"inequality_selection": ("matrix_agh",), "trials_per_inequality": 9,
+    ineq = "matrix_agh" if phase < 3 else "hs_gap_ratio"
+    cfg = load_config(None, {"inequality_selection": (ineq,), "trials_per_inequality": 9,
                              "dims": (2, 3)})
     assert len(next(runner._blocks(iter(range(9)), lambda t: 3))) == 9  # one block
-    failing = _draw_failing_at(draw_at, phase)
-    entry = dataclasses.replace(runner.CERTIFIERS["matrix_agh"], draw=failing)
-    monkeypatch.setitem(runner.CERTIFIERS, "matrix_agh", entry)
+    failing = _draw_failing_at(ineq, draw_at, phase)
+    entry = dataclasses.replace(runner.CERTIFIERS[ineq], draw=failing)
+    monkeypatch.setitem(runner.CERTIFIERS, ineq, entry)
     monkeypatch.setattr(runner, "run_trial", _check_failing_at(check_at))
     first = min(draw_at, check_at)
-    error = NotPositiveDefinite if first == draw_at and phase == 2 else IllConditioned
+    error = {1: IllConditioned, 2: NotPositiveDefinite, 3: Singular}[phase]
+    error = error if first == draw_at else IllConditioned
     records = []
-    with pytest.raises(TrialFailed, match=rf"^trial matrix_agh:{first} failed: {error.__name__}"):
+    with pytest.raises(TrialFailed, match=rf"^trial {ineq}:{first} failed: {error.__name__}"):
         runner.run_verify(cfg, records.append)
     # every trial before it was checked and streamed
     assert [r.trial_index for r in records] == list(range(first))
+
+
+# ---------------------------------------------------------------------------
+# stacked checks: each item is its trial's check alone
+# ---------------------------------------------------------------------------
+
+
+STACKED_IDS = tuple(i for i in runner.CANONICAL_IDS if hasattr(certifiers, f"stacked_{i}"))
+
+
+def _outcome(check, operands, params, **stacked) -> str:
+    """The text of a check's report, or of the error it raises: equal text is equal bits."""
+    try:
+        r = check(*operands, **params, **stacked)
+    except (MeanCertError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps([r.margins, r.tol_used, r.verdict, r.degenerate, r.witness])
+
+
+def _drawn(ineq, n, count, seed):
+    draw = runner.CERTIFIERS[ineq].draw
+    caps = (1e2, 1e4, 1e6)
+    return runner._draw_block(
+        [(draw, SeedPath(seed, k).rng(), n, caps[k % 3]) for k in range(count)]
+    )
+
+
+def _items(ineq, trials) -> list:
+    """Each trial's outcome through its item of one stacked call, as the runner checks it."""
+    check, stacked = (getattr(certifiers, f"{kind}_{ineq}") for kind in ("check", "stacked"))
+    return [_outcome(check, *trial, stacked=item) for trial, item in zip(trials, stacked(trials))]
+
+
+@pytest.mark.parametrize("n", (*range(1, 9), 32, 64))
+def test_stacked_checks_match_each_trial_alone(n):
+    assert STACKED_IDS == ("hs_gap_ratio", "hs_agh_chain", "hs_half_weight_gap", "det_power_order",
+                           "det_root_gap", "det_gap", "det_half_weight_gap")
+    cap = max(1, sampling._STACK_ENTRIES // (n * n))  # the largest stack a block forms
+    for ineq in STACKED_IDS:
+        trials = _drawn(ineq, n, 8, 100 + n)
+        check = getattr(certifiers, f"check_{ineq}")
+        alone = [_outcome(check, *trial) for trial in trials]
+        for size in (1, 2, 8, cap):
+            got = _items(ineq, [trials[k % 8] for k in range(size)])
+            assert got == [alone[k % 8] for k in range(size)], (ineq, n, size)
+
+
+def test_stacked_checks_at_endpoints_and_degenerate_items():
+    spec = SpectrumSpec(3, 0.5, 4.0)
+    a, b = (sampling.random_spd(spec, SeedPath(28, k)) for k in range(2))
+    eye = np.eye(3, dtype=complex)
+    cases = {
+        # v = 0 is det_half_weight_gap's own endpoint; v = 0.7 raises in the trial's turn
+        "det_half_weight_gap": [((a, b), {"v": 0.0}), ((a, b), {"v": 0.3}), ((a, b), {"v": 0.7})],
+        # A = B with a diagonal Y = U* X V: the denominator D(tau) vanishes
+        "hs_gap_ratio": [((a, b, eye), {"v": 0.3, "tau": 0.6}),
+                         ((a, a, eye), {"v": 0.3, "tau": 0.6})],
+        # A = B: the degenerate guard fires in the trial's turn
+        "det_root_gap": [((a, b), {"v": 0.3, "tau": 0.6, "lam": 2.0}),
+                         ((a, a), {"v": 0.3, "tau": 0.6, "lam": 2.0})],
+    }
+    outcomes = []
+    for ineq, trials in cases.items():
+        check = getattr(certifiers, f"check_{ineq}")
+        outcomes.append(_items(ineq, trials))
+        assert outcomes[-1] == [_outcome(check, *trial) for trial in trials], ineq
+    half, hs, root = ([json.loads(r) if r.startswith("[") else r for r in o] for o in outcomes)
+    assert [r[2] for r in half[:2]] == ["pass", "pass"]
+    assert half[2] == "ValueError: weight must lie in [0, 1/2], got 0.7"
+    assert [r[3] for r in hs] == [r[3] for r in root] == [False, True]  # degenerate
+    assert certifiers.check_det_root_gap(a, a, 0.3, 0.6, 2.0).degenerate
+    # the guard's verdict comes first: a held margin error is dropped where it fires
+    held = PowerOverflow("held")
+    assert certifiers.check_det_root_gap(a, a, 0.3, 0.6, 2.0, stacked=held).degenerate
+    with pytest.raises(PowerOverflow, match="held"):
+        certifiers.check_det_root_gap(a, b, 0.3, 0.6, 2.0, stacked=held)
+
+
+def _singular_x(trial):
+    (a, b, x), params = trial
+    u, s, vh = np.linalg.svd(x)
+    return (a, b, (u * np.concatenate([s[:-1], [0.0]])) @ vh), params
+
+
+def _failing_cholesky(monkeypatch, target):
+    """``np.linalg.cholesky``, failing on any stack that holds the matrix ``target``."""
+    original = np.linalg.cholesky
+
+    def cholesky(m, *args, **kwargs):
+        if any(np.array_equal(item, target) for item in np.reshape(m, (-1, *target.shape))):
+            raise np.linalg.LinAlgError("injected factorization failure")
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+
+
+def test_a_failing_item_holds_its_error_and_leaves_the_others(monkeypatch):
+    hs = _drawn("hs_gap_ratio", 3, 5, 29)
+    det = _drawn("det_gap", 3, 5, 30)
+    good_hs, good_det = _items("hs_gap_ratio", hs), _items("det_gap", det)
+    hs[1] = _singular_x(hs[1])
+    _failing_cholesky(monkeypatch, det[2][0][0].mat)
+    got_hs, got_det = _items("hs_gap_ratio", hs), _items("det_gap", det)
+    assert got_hs[1].startswith("Singular: X is numerically singular")
+    assert got_det[2].startswith("IllConditioned: Cholesky factorization failed")
+    assert got_hs[:1] + got_hs[2:] == good_hs[:1] + good_hs[2:]
+    assert got_det[:2] + got_det[3:] == good_det[:2] + good_det[3:]
+
+
+def test_a_failed_factorization_raises_in_its_trials_turn(monkeypatch):
+    cfg = load_config(None, {"inequality_selection": ("det_gap",), "trials_per_inequality": 9,
+                             "dims": (2, 3)})
+    unpatched = []
+    runner.run_verify(cfg, unpatched.append)
+    (a, _), _ = runner._drawn_alone(runner._trial_job(cfg, "det_gap", 4))
+    _failing_cholesky(monkeypatch, a.mat)
+    records = []
+    with pytest.raises(TrialFailed, match=r"^trial det_gap:4 failed: IllConditioned"):
+        runner.run_verify(cfg, records.append)
+    assert list(map(_text, records)) == list(map(_text, unpatched[:4]))

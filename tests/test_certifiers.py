@@ -564,21 +564,24 @@ class TestDeterminantChecks:
             check_det_root_gap(a, b, 0.25, 0.5, 8.0)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
-    def test_det_gap_is_det_root_gap_at_power_n(self, monkeypatch):
+    def test_det_gap_is_det_root_gap_at_power_n(self):
         # on the default verify's det_gap draws, det_gap's margin is det_root_gap's
-        # at lam = n bit for bit, wherever the root bound's degenerate guard does not fire
+        # at lam = n bit for bit, wherever the root bound's degenerate guard does not
+        # fire; the stacked check, one call per dimension, gives check_det_gap's report
+        cfg = RunConfig(inequality_selection=("det_gap",))
+        jobs = [runner._trial_job(cfg, "det_gap", t) for t in range(cfg.trials_per_inequality)]
+        by_dim = {}
+        for drawn in runner._draw_block(jobs):
+            by_dim.setdefault(drawn[0][0].dim, []).append(drawn)
         compared = []
-
-        def spy(a, b, v, tau, tol_scale):
-            rep = check_det_gap(a, b, v, tau, tol_scale)
-            root = check_det_root_gap(a, b, v, tau, float(a.dim), tol_scale)
-            if not root.degenerate:
-                assert rep.margins["det_gap"] == root.margins["det_root_gap"]
-                compared.append(rep.tol_used == root.tol_used)
-            return rep
-
-        monkeypatch.setattr(certifiers, "check_det_gap", spy)
-        runner.run_verify(RunConfig(inequality_selection=("det_gap",)))
+        for trials in by_dim.values():
+            for ((a, b), p), item in zip(trials, certifiers.stacked_det_gap(trials)):
+                rep = check_det_gap(a, b, p["v"], p["tau"])
+                assert (item.margins, item.tol_used) == (rep.margins, rep.tol_used)
+                root = check_det_root_gap(a, b, p["v"], p["tau"], float(a.dim))
+                if not root.degenerate:
+                    assert rep.margins["det_gap"] == root.margins["det_root_gap"]
+                    compared.append(rep.tol_used == root.tol_used)
         assert len(compared) >= 900 and all(compared)
 
     def test_det_root_gap_degenerate_on_equal(self):

@@ -5,6 +5,7 @@ worker, so a report is the same bytes whatever ``OPENBLAS_NUM_THREADS`` or
 ``--workers`` says, and the caller's thread count is back once a run ends.
 """
 
+import concurrent.futures
 import multiprocessing
 import os
 import pickle
@@ -43,6 +44,16 @@ def test_report_independent_of_openblas_num_threads(tmp_path):
     assert one == two
 
 
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # a one-worker run never starts a pool, so its start-up does not pay for the import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    code = "import sys, meancert.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
 def test_two_workers_match_one_at_dim_64(tmp_path):
     outs = [tmp_path / "w1.csv", tmp_path / "w2.csv"]
     for out, workers in zip(outs, ("1", "2")):
@@ -58,7 +69,8 @@ def test_sweep_two_workers_match_one(tmp_path, monkeypatch):
             pools.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    # the runner imports the pool when a run asks for more than one worker
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     grid = tmp_path / "grid.cfg"
     grid.write_text("v = 0.25, 0.6\ntau = 0.5, 0.75\ndim = 2, 32\n")
     outs = [tmp_path / "w1.csv", tmp_path / "w2.csv"]
