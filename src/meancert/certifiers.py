@@ -5,8 +5,10 @@ Every certifier evaluates one inequality on concrete inputs and returns a
 margin is the amount by which the side holds (smallest eigenvalue of the
 matrix difference, or the scalar difference); the inequality is certified
 when every margin is at least ``-tol``.  Strict inequalities degrade to this
-margin form in floating point; inputs too close to the degenerate set of a
-strict inequality produce a ``degenerate`` report instead of a verdict.
+margin form in floating point.  A check reports ``degenerate`` instead of a
+verdict only where its margin is a ratio whose denominator vanishes (the 0/0
+set of a gap ratio); every other margin is a difference without cancellation
+and always gets a verdict.
 
 Naming: the "gap" of a pair is its arithmetic-minus-harmonic difference
 ``A_v - H_v`` (scalar) or ``A nabla_v B - A !_v B`` (matrix).  The checks
@@ -45,12 +47,8 @@ from .linalg import (
 )
 from .means import ScalarPair
 
-#: Relative operand gap below which strict-inequality certifiers report degenerate.
+#: Relative operand gap below which the scalar gap ratio (0/0 there) reports degenerate.
 NEAR_EQUAL_GUARD = 1e-8
-
-#: Smallest eigenvalue of the tau-gap, relative to the arithmetic mean's norm,
-#: below which the determinant-root bound is reported degenerate.
-DET_GAP_FLOOR = 1e-10
 
 #: Denominator floor (relative to its norm scale) for the Hilbert-Schmidt ratio.
 HS_DENOMINATOR_FLOOR = 1e-8
@@ -61,8 +59,8 @@ class CertificateReport:
     """Per-inequality verdict with named margins.
 
     ``holds`` is True when every margin is at least ``-tol_used``; a
-    ``degenerate`` report means the inequality's hypotheses exclude the
-    input (verdict not applicable, ``holds`` set True by convention).
+    ``degenerate`` report means the margin's ratio has a vanishing
+    denominator (verdict not applicable, ``holds`` set True by convention).
     ``witness`` carries the serialized inputs whenever ``holds`` is False.
     """
 
@@ -313,8 +311,6 @@ def check_inverse_convexity(pair: ScalarPair, v: float, tol_scale: float = 1.0) 
     a, b = pair.a, pair.b
     means.check_ordered(a, b)
     tol = TOL_RATE * tol_scale * (1 / a + 1 / b + 1.0)
-    if pair.is_degenerate(NEAR_EQUAL_GUARD):
-        return _degenerate(tol)
     mid = means.gap_map(v, 1 / a, 1 / b)  # A_v - H_v of the reciprocals
     coeff = 0.5 * v * (1 - v) * (b - a) ** 2
     margins = {"above_lower": mid - coeff * (2.0 / b**3), "below_upper": coeff * (2.0 / a**3) - mid}
@@ -330,8 +326,6 @@ def check_one_sided_gap(pair: ScalarPair, v: float, tol_scale: float = 1.0) -> C
     a, b = pair.a, pair.b
     means.check_ordered(a, b)
     tol = TOL_RATE * tol_scale * (a + b + 1.0)
-    if pair.is_degenerate(NEAR_EQUAL_GUARD):
-        return _degenerate(tol)
     lower = means.gap_map(v, a, b) - _cap_factor(v, a / b) * a
     margins = {"above_lower": lower, "below_upper": _gap_cap_side(v, b / a, a, b)}
     return _finish(margins, tol, {"pair": pair, "v": v})
@@ -656,28 +650,23 @@ def check_det_root_gap(
         ``(v/tau)^lam det(G_tau)^(lam/n)
           <= det(A nabla_v B)^(lam/n) - det(A !_v B)^(lam/n)``
 
-    with ``G_tau`` the tau-weighted gap matrix.  A numerically singular
-    ``G_tau`` (the two operands nearly equal) gives a degenerate report since
-    its determinant root is then meaningless.  A power that exceeds double
-    precision, or powers that all underflow to 0, raise :class:`PowerOverflow`.
-    The guard, an eigensolve, runs before the trial's stacked item is taken.
+    with ``G_tau`` the tau-weighted gap matrix.  A singular ``G_tau`` (as at
+    ``A = B``) makes the bound 0, so it needs no guard.  A power that exceeds
+    double precision, or powers that all underflow to 0, raise
+    :class:`PowerOverflow`.
     """
     _check_weight_order(v, tau)
     means.check_power(lam)
-    pair = means.spectral_pair(a, b)
-    gap_floor = DET_GAP_FLOOR * hs_norm(tau * a.mat + (1 - tau) * b.mat)
-    if pair.min_eig(means.gap_map(tau, 1.0, pair.mu)) <= gap_floor:
-        return _degenerate(TOL_RATE * tol_scale)
     return _one(stacked_det_root_gap, stacked, (a, b), {"v": v, "tau": tau, "lam": lam}, tol_scale)
 
 
 def stacked_det_root_gap(trials: list, tol_scale: float = 1.0) -> list:
-    """:func:`check_det_root_gap` past its guard, of each checked trial (:func:`_det_stack`)."""
+    """:func:`check_det_root_gap` of each checked trial of a stack (:func:`_det_stack`)."""
     return _det_stack(trials, partial(_det_gap_report, "det_root_gap", tol_scale))
 
 
 def _det_gap_report(name, tol_scale, a, b, logs, v, tau, lam=None) -> CertificateReport:
-    """The report of :func:`check_det_root_gap` past its guard, margin ``name``, at ``lam``
+    """The report of :func:`check_det_root_gap`, margin ``name``, at ``lam``
     (``n`` where not given), from the pair's log-determinants."""
     n = a.dim
     power = float(n) if lam is None else lam
@@ -701,7 +690,7 @@ def check_det_gap(
 
         ``det(A !_v B) + (v/tau)^n det(G_tau) <= det(A nabla_v B)``,
 
-    which is :func:`check_det_root_gap` at ``lam = n``, past its degenerate guard.
+    which is :func:`check_det_root_gap` at ``lam = n``.
     """
     _check_weight_order(v, tau)
     return _one(stacked_det_gap, stacked, (a, b), {"v": v, "tau": tau}, tol_scale)

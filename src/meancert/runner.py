@@ -18,7 +18,7 @@ n = 64).  A block runs in four phases: each trial draws its randoms from
 its own seed, in order; the block forms its matrix operands in one stacked
 QR and one stacked certificate per kind and dimension
 (:func:`_draw_block`); it runs the stacked checks per id and dimension
-(:func:`_stacked_checks`); then each trial is checked and recorded, in
+(:func:`_in_turn`); then each trial is checked and recorded, in
 order.  Every stacked item has the bits of its per-matrix computation, and
 a trial run alone (:func:`run_trial`) draws on a block of one and checks on
 a stack of one, so records do not depend on how trials are cut into blocks
@@ -53,12 +53,12 @@ from . import blas, certifiers
 from .certifiers import BoundsHypothesis, CertificateReport
 from .errors import ConfigError, MeanCertError, TrialFailed
 from .sampling import (
-    _STACK_ENTRIES,
     SeedPath,
     SpectrumSpec,
     draw_invertible,
     draw_spd,
     form_operands,
+    in_stacks,
     random_ordered_pair,
     sample_params,
     sample_power,
@@ -283,7 +283,7 @@ CANONICAL_IDS = tuple(CERTIFIERS)
 #: Certifier families that consume the sweep grid (v, tau, lambda, dim).
 SWEEPABLE_IDS = tuple(i for i, entry in CERTIFIERS.items() if entry.sweep_draw is not None)
 
-#: Certifier ids with a stacked check, ``certifiers.stacked_<id>`` (:func:`_stacked_checks`).
+#: Certifier ids with a stacked check, ``certifiers.stacked_<id>`` (:func:`_in_turn`).
 _STACKED_IDS = frozenset(i for i in CERTIFIERS if hasattr(certifiers, f"stacked_{i}"))
 
 
@@ -428,32 +428,17 @@ def _run(cfg: RunConfig, block_fn: Callable, blocks, tally: Tally, sink: Callabl
     return tally
 
 
-def _stacked_checks(cases: list, tol_scale: float) -> list:
-    """Each trial's item (report or held error) of ``certifiers.stacked_<id>`` for its ``(id,
-    operands, params)`` (None for None): one call per id and dimension, in stacks of at most
-    ``_STACK_ENTRIES`` entries, as :func:`~meancert.sampling.form_operands` forms operands."""
-    groups: dict = {}
-    for k, case in enumerate(cases):
-        if case is not None:
-            groups.setdefault((case[0], case[1][0].dim), []).append(k)
-    items = [None] * len(cases)
-    for (ineq, n), members in groups.items():
-        kernel, size = getattr(certifiers, f"stacked_{ineq}"), max(1, _STACK_ENTRIES // (n * n))
-        for start in range(0, len(members), size):
-            stack = members[start:start + size]
-            for k, item in zip(stack, kernel([cases[k][1:] for k in stack], tol_scale)):
-                items[k] = item
-    return items
-
-
 def _in_turn(trials: list, jobs: list, label: Callable, case: Callable, record: Callable, tol_scale):
     """``record(trial, drawn, held)`` of each trial in order, after the block's draws
-    (:func:`_draw_block` of ``jobs``) and stacked checks (:func:`_stacked_checks` of each
-    ``case(trial, drawn)``); an error, held or not, raises in its trial's turn as a
+    (:func:`_draw_block` of ``jobs``) and stacked checks: ``held`` is the trial's item (report
+    or held error) of ``certifiers.stacked_<id>`` for its ``case(trial, drawn) = (id, dim,
+    (operands, params))``, one call per id and dimension (:func:`~meancert.sampling.in_stacks`),
+    or None for a None case.  An error, held or not, raises in its trial's turn as a
     :class:`TrialFailed` naming ``label(trial)``."""
     block = _draw_block(jobs)
     cases = [None if isinstance(d, Exception) else case(t, d) for t, d in zip(trials, block)]
-    for trial, drawn, held in zip(trials, block, _stacked_checks(cases, tol_scale)):
+    items = in_stacks(cases, lambda ineq, s: getattr(certifiers, f"stacked_{ineq}")(s, tol_scale))
+    for trial, drawn, held in zip(trials, block, items):
         try:
             if isinstance(drawn, Exception):
                 raise drawn
@@ -466,9 +451,12 @@ def _verify_block(block):
     """The records of a block ``(cfg, [(id, trial), ...])`` of verify trials, in order."""
     cfg, trials = block
     # run_trial is looked up per call, so a wrapper set on this module is seen
+    def case(t, drawn):  # the trial of the stacked check, if its id has one
+        return (t[0], drawn[0][0].dim, drawn) if t[0] in _STACKED_IDS else None
+
     return _in_turn(trials, [_trial_job(cfg, *t) for t in trials], lambda t: f"{t[0]}:{t[1]}",
-                    lambda t, drawn: (t[0], *drawn) if t[0] in _STACKED_IDS else None,
-                    lambda t, drawn, held: run_trial(cfg, *t, drawn, held), cfg.tolerance_scale)
+                    case, lambda t, drawn, held: run_trial(cfg, *t, drawn, held),
+                    cfg.tolerance_scale)
 
 
 def run_verify(cfg: RunConfig, sink: Callable = lambda record: None) -> Tally:
@@ -655,7 +643,9 @@ def _sweep_block(block):
     draw, sweep_cell = _sweep_draw(select), CERTIFIERS[select].sweep_cell
 
     def case(trial, drawn):  # the trial of the stacked check, if select has one
-        return (select, drawn[0], sweep_cell(*trial[1][:3])) if select in _STACKED_IDS else None
+        if select in _STACKED_IDS:
+            return select, trial[1][3], (drawn[0], sweep_cell(*trial[1][:3]))
+        return None
 
     def record(trial, drawn, held):
         rank, cell, t = trial

@@ -11,7 +11,8 @@ the LAPACK and certification calls: :func:`draw_spd` and
 order the one-step samplers take them, and return a :class:`MatrixDraw`;
 :func:`form_operands` then forms every draw of a block, one stacked QR
 (:func:`random_unitaries`) and one stacked certificate
-(:meth:`SpdMatrix.from_spectra`) per kind and dimension.  Each item of a
+(:meth:`SpdMatrix.from_spectra`) per kind and dimension, in stacks cut by
+:func:`in_stacks`, the rule the runner's stacked checks share.  Each item of a
 stack equals its per-matrix computation bit for bit, so an operand does not
 depend on the block it was formed in.  Above dimension 45, where a stack
 would hold one operand, the draw forms it at once.  :func:`random_spd` and
@@ -231,31 +232,44 @@ def random_invertible(dim: int, cond_cap: float, seed) -> np.ndarray:
 _STACK_ENTRIES = 64 * 8 * 8
 
 
+def in_stacks(calls: list, run) -> list:
+    """Each call's result from stacked runs: ``calls`` holds ``(key, n, item)`` for an
+    ``n x n`` item, or None; the items of one ``(key, n)``, in order, go to ``run(key, items)``
+    in stacks of at most :data:`_STACK_ENTRIES` entries, and each call gets its item's entry
+    of the list that returns (None for None)."""
+    groups: dict = {}
+    for k, call in enumerate(calls):
+        if call is not None:
+            groups.setdefault(call[:2], []).append(k)
+    out = [None] * len(calls)
+    for (key, n), members in groups.items():
+        size = max(1, _STACK_ENTRIES // (n * n))
+        for start in range(0, len(members), size):
+            stack = members[start:start + size]
+            for k, item in zip(stack, run(key, [calls[k][2] for k in stack])):
+                out[k] = item
+    return out
+
+
 def form_operands(trials: list) -> list:
     """Form the :class:`MatrixDraw` operands of a block of trials.
 
     ``trials`` holds each trial's operand tuple.  The draws of one kind and
-    dimension are formed together, in stacks of at most
-    :data:`_STACK_ENTRIES` entries: one :func:`random_unitaries` per unitary
-    factor, then one :meth:`SpdMatrix.from_spectra` or one stacked
-    ``U diag(s) V*``.  Returns each trial's tuple with its draws replaced by
-    what they form, or the error of its first operand that fails
-    certification; the other trials keep their operands.
+    dimension are formed together (:func:`in_stacks`): one
+    :func:`random_unitaries` per unitary factor, then one
+    :meth:`SpdMatrix.from_spectra` or one stacked ``U diag(s) V*``.  Returns
+    each trial's tuple with its draws replaced by what they form, or the error
+    of its first operand that fails certification; the other trials keep their
+    operands.
     """
-    groups: dict = {}
-    for t, operands in enumerate(trials):
-        for i, op in enumerate(operands):
-            if isinstance(op, MatrixDraw):
-                groups.setdefault((len(op.gaussians), op.values.size), []).append((t, i, op))
-    if not groups:
+    at = [(t, i) for t, ops in enumerate(trials) for i, op in enumerate(ops)
+          if isinstance(op, MatrixDraw)]
+    if not at:
         return trials
     out = [list(operands) for operands in trials]
-    for (_, n), members in groups.items():
-        size = max(1, _STACK_ENTRIES // (n * n))
-        for start in range(0, len(members), size):
-            stack = members[start:start + size]
-            for (t, i, _), item in zip(stack, _form_stack([op for _, _, op in stack])):
-                out[t][i] = item
+    calls = [(len(out[t][i].gaussians), out[t][i].values.size, out[t][i]) for t, i in at]
+    for (t, i), item in zip(at, in_stacks(calls, lambda kind, draws: _form_stack(draws))):
+        out[t][i] = item
     return [next((op for op in ops if isinstance(op, MeanCertError)), tuple(ops)) for ops in out]
 
 

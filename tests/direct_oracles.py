@@ -5,9 +5,10 @@ engine in ``meancert.means``: eigen-inverses for the harmonic mean,
 ``A^(1/2) (A^(-1/2) B A^(-1/2))^(1-v) A^(1/2)`` for the geometric mean, and
 separate eigendecompositions of ``A`` and ``B`` for the one-sided means.
 Margins come from the smallest eigenvalue of an explicit matrix
-difference, and determinants from eigenvalue log-determinants.  The
-degenerate guards mirror the certifiers': margin functions return ``None``
-where the certifier reports ``degenerate``.
+difference, and determinants from eigenvalue log-determinants.  As in the
+certifiers, only a ratio's vanishing denominator is degenerate: the
+Hilbert-Schmidt ratio's margin function returns ``None`` where the certifier
+reports ``degenerate``.
 """
 
 import numpy as np
@@ -22,7 +23,6 @@ from meancert.linalg import (
     matrix_power,
 )
 
-DET_GAP_FLOOR = 1e-10
 HS_DENOMINATOR_FLOOR = 1e-8
 
 
@@ -138,11 +138,11 @@ def det_power_margin(a, b, v, lam):
 def det_root_margin(a, b, v, tau, lam):
     n = a.dim
     gap_eigs = np.linalg.eigvalsh(_gap(a, b, tau))
-    if gap_eigs[0] <= DET_GAP_FLOOR * hs_norm(mat_arith(a, b, tau)):
-        return None
     ld_arith = _logdet(mat_arith(a, b, v))
     ld_harm = _logdet(mat_harm(a, b, v))
-    t_gap = (v / tau) ** lam * np.exp(lam / n * float(np.sum(np.log(gap_eigs))))
+    with np.errstate(divide="ignore"):  # a singular G_tau: the bound is 0
+        ld_gap = float(np.sum(np.log(np.maximum(gap_eigs, 0.0))))
+    t_gap = (v / tau) ** lam * np.exp(lam / n * ld_gap)
     return _power_difference(ld_arith, ld_harm, lam / n) - t_gap
 
 

@@ -41,10 +41,10 @@ from meancert.sampling import SeedPath, random_ordered_pair
 
 #: SHA-256 of the default verify CSV at seed 20260808, by report platform.
 DEFAULT_VERIFY_SHA256 = {
-    SKYLAKEX: "d54c2b021e497b256dce96e9f7ec688d2d8325574226b184bac0303a734a0e8f",
-    SKYLAKEX_NO_AVX512: "e39a0db4142b49e7107a03e116545203f6272acc1ce5ec1bb60999f6f862ba04",
-    HASWELL: "3ad46ee2e91b15bf44d5fcec7e182893356bf4999fb29ed45b630616aa6f10c8",
-    HASWELL_NO_AVX512: "0d735deeba6a4e5043f5a22507df706fb6b52ec70b1de94e9673399a184c4f95",
+    SKYLAKEX: "a436818fa025f8a950f7be31b4e874a8e5a7a6baa99b33d1456a96154c2e451b",
+    SKYLAKEX_NO_AVX512: "a5523014bcf24cb9fcddccff21c8bca5d957abace681871890cf696650e2cf80",
+    HASWELL: "51c639c68cccc8aac130d7d4f4e5ee9cabf1f47765849b466e5c587f719bcf2e",
+    HASWELL_NO_AVX512: "7f6e3bdb3b20df401f0dd13bf220a78e7f131681e08dbc2500e0b1489c61c5b1",
 }
 #: The columns that match on every platform pinned above: all but the
 #: margins and the tolerance, which carry the BLAS kernels' and the SIMD
@@ -54,7 +54,7 @@ PORTABLE_COLUMNS = (
 )
 #: SHA-256 of the default verify CSV's PORTABLE_COLUMNS (a line per row, no
 #: header) under PINNED_NUMPY, on any CPU.
-DEFAULT_VERIFY_PORTABLE_SHA256 = "b3fb2b3da2c3b7b1ca20f80563e7b27a3a5b7127a11bf154349eb1b0a159a8c2"
+DEFAULT_VERIFY_PORTABLE_SHA256 = "2a6f29ac26561926b892bf3c5977a20ee6c4efac12c2c6b79f4f745463eb71ad"
 
 
 def portable_sha256(path) -> str:

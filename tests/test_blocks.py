@@ -331,7 +331,7 @@ def test_stacked_checks_at_endpoints_and_degenerate_items():
         # A = B with a diagonal Y = U* X V: the denominator D(tau) vanishes
         "hs_gap_ratio": [((a, b, eye), {"v": 0.3, "tau": 0.6}),
                          ((a, a, eye), {"v": 0.3, "tau": 0.6})],
-        # A = B: the degenerate guard fires in the trial's turn
+        # A = B: G_tau is singular, the bound is 0 and the item a pass
         "det_root_gap": [((a, b), {"v": 0.3, "tau": 0.6, "lam": 2.0}),
                          ((a, a), {"v": 0.3, "tau": 0.6, "lam": 2.0})],
     }
@@ -343,11 +343,10 @@ def test_stacked_checks_at_endpoints_and_degenerate_items():
     half, hs, root = ([json.loads(r) if r.startswith("[") else r for r in o] for o in outcomes)
     assert [r[2] for r in half[:2]] == ["pass", "pass"]
     assert half[2] == "ValueError: weight must lie in [0, 1/2], got 0.7"
-    assert [r[3] for r in hs] == [r[3] for r in root] == [False, True]  # degenerate
-    assert certifiers.check_det_root_gap(a, a, 0.3, 0.6, 2.0).degenerate
-    # the guard's verdict comes first: a held margin error is dropped where it fires
+    assert [r[3] for r in hs] == [False, True]  # degenerate
+    assert [r[2] for r in root] == ["pass", "pass"]
+    # a held margin error raises in its trial's turn
     held = PowerOverflow("held")
-    assert certifiers.check_det_root_gap(a, a, 0.3, 0.6, 2.0, stacked=held).degenerate
     with pytest.raises(PowerOverflow, match="held"):
         certifiers.check_det_root_gap(a, b, 0.3, 0.6, 2.0, stacked=held)
 

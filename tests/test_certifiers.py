@@ -129,8 +129,9 @@ class TestGapRatio:
 
 @pytest.mark.parametrize("rel", [1e-1, 1e-3, 1e-5, 1e-7, 5e-8, 2e-8, 1e-9])
 def test_near_equal_operands_pass_and_match_mpmath(rel):
-    """At ``b/a = 1 + rel`` every gap certifier passes or reports degenerate, and
-    each margin it reports agrees with 50-digit arithmetic to within its tol."""
+    """At ``b/a = 1 + rel`` every gap certifier passes (the gap ratio, a 0/0
+    there, may report degenerate instead), and each margin it reports agrees
+    with 50-digit arithmetic to within its tol."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     pair = ScalarPair(1.0, 1.0 + rel)
@@ -152,6 +153,7 @@ def test_near_equal_operands_pass_and_match_mpmath(rel):
         ratio = gap(V, lam) / gap(T, lam)
         cases.append((check_gap_ratio(pair, v, tau, lam),
                       (ratio - (V / T) ** lam, ((1 - V) / (1 - T)) ** lam - ratio)))
+    ratios = len(cases)  # the gap ratio cases: only they may report degenerate
     for v in (0.2, 0.5, 0.8):
         V = mp.mpf(v)
         for squared in (False, True):
@@ -167,8 +169,8 @@ def test_near_equal_operands_pass_and_match_mpmath(rel):
         mid = V / a + (1 - V) / b - 1 / (V * a + (1 - V) * b)
         coeff = V * (1 - V) * (b - a) ** 2
         cases.append((check_inverse_convexity(pair, v), (mid - coeff / b**3, coeff / a**3 - mid)))
-    for rep, exact in cases:
-        assert rep.verdict in ("pass", "degenerate")
+    for k, (rep, exact) in enumerate(cases):
+        assert rep.verdict == "pass" or (k < ratios and rep.degenerate)
         if not rep.degenerate:
             for margin, want in zip(rep.margins.values(), exact, strict=True):
                 assert abs(margin - want) <= rep.tol_used
@@ -231,9 +233,10 @@ class TestInverseConvexityGap:
         with pytest.raises(RequiresOrdered):
             check_inverse_convexity(ScalarPair(2.0, 1.0), 0.5)
 
-    def test_near_equal_degenerate(self):
+    def test_near_equal_passes(self):
+        # a difference, not a ratio: no 0/0 set, so a verdict at any separation
         rep = check_inverse_convexity(ScalarPair(1.0, 1.0 + 1e-10), 0.5)
-        assert rep.degenerate
+        assert rep.verdict == "pass"
 
     def test_small_weight_vanishes(self):
         rep = check_inverse_convexity(ScalarPair(1.0, 2.0), 1e-9)
@@ -254,8 +257,8 @@ class TestOneSidedGap:
         for m in rep.margins.values():
             assert abs(m) <= 1e-8
 
-    def test_near_degenerate_skipped(self):
-        assert check_one_sided_gap(ScalarPair(1.0, 1.0 + 1e-9), 0.5).degenerate
+    def test_near_equal_passes(self):
+        assert check_one_sided_gap(ScalarPair(1.0, 1.0 + 1e-9), 0.5).verdict == "pass"
 
     def test_requires_ordered(self):
         with pytest.raises(RequiresOrdered):
@@ -565,9 +568,9 @@ class TestDeterminantChecks:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_det_gap_is_det_root_gap_at_power_n(self):
-        # on the default verify's det_gap draws, det_gap's margin is det_root_gap's
-        # at lam = n bit for bit, wherever the root bound's degenerate guard does not
-        # fire; the stacked check, one call per dimension, gives check_det_gap's report
+        # on every default-verify det_gap draw, det_gap's margin is det_root_gap's at
+        # lam = n bit for bit; the stacked check, one call per dimension, gives
+        # check_det_gap's report
         cfg = RunConfig(inequality_selection=("det_gap",))
         jobs = [runner._trial_job(cfg, "det_gap", t) for t in range(cfg.trials_per_inequality)]
         by_dim = {}
@@ -579,14 +582,49 @@ class TestDeterminantChecks:
                 rep = check_det_gap(a, b, p["v"], p["tau"])
                 assert (item.margins, item.tol_used) == (rep.margins, rep.tol_used)
                 root = check_det_root_gap(a, b, p["v"], p["tau"], float(a.dim))
-                if not root.degenerate:
-                    assert rep.margins["det_gap"] == root.margins["det_root_gap"]
-                    compared.append(rep.tol_used == root.tol_used)
-        assert len(compared) >= 900 and all(compared)
+                assert rep.margins["det_gap"] == root.margins["det_root_gap"]
+                compared.append(rep.tol_used == root.tol_used)
+        assert len(compared) == cfg.trials_per_inequality and all(compared)
 
-    def test_det_root_gap_degenerate_on_equal(self):
-        a, _ = spd_pair(21, 3)
-        assert check_det_root_gap(a, a, 0.25, 0.5, 1.0).degenerate
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_near_singular_gap_passes_and_matches_mpmath(self, n):
+        # A = B, a rank-one B - A (G_tau singular for n >= 2) and B = (1 + 1e-12) A: the
+        # bound term is 0 or nearly, and each determinant id reads pass with its margin
+        # within tol of 50-digit arithmetic
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        a, _ = spd_pair(21, n)
+        w = SeedPath(21, 1).rng().standard_normal(n)
+        pairs = {
+            "equal": a,
+            "rank_one": SpdMatrix(a.mat + 0.5 * np.outer(w, w)),
+            "scaled": SpdMatrix((1 + 1e-12) * a.mat),
+        }
+
+        def exact(b, v, tau, lam):
+            am, bm = (mp.matrix(m.mat.tolist()) for m in (a, b))
+
+            def arith_harm(t):
+                return t * am + (1 - t) * bm, mp.inverse(t * am**-1 + (1 - t) * bm**-1)
+
+            def det(m):
+                return mp.re(mp.det(m))
+
+            v, tau = mp.mpf(v), mp.mpf(tau)
+            (arith, harm), (arith_tau, harm_tau) = arith_harm(v), arith_harm(tau)
+            gap = max(det(arith_tau - harm_tau), 0)  # 50-digit rounding may cross 0
+            p = mp.mpf(lam) / n
+            return det(arith) ** p - det(harm) ** p - (v / tau) ** lam * gap**p
+
+        for kind, b in pairs.items():
+            cases = [(check_det_root_gap(a, b, 0.3, 0.6, lam), exact(b, 0.3, 0.6, lam))
+                     for lam in (1.0, 2.5)]
+            cases.append((check_det_gap(a, b, 0.3, 0.6), exact(b, 0.3, 0.6, n)))
+            cases.append((check_det_half_weight_gap(a, b, 0.3), exact(b, 0.3, 0.5, n)))
+            for rep, want in cases:
+                assert rep.verdict == "pass", (kind, rep)
+                (margin,) = rep.margins.values()
+                assert abs(margin - want) <= rep.tol_used, (kind, margin, want, rep.tol_used)
 
     def test_det_root_gap_frozen_diagonal(self):
         eye = SpdMatrix(np.eye(2))

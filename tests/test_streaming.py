@@ -130,9 +130,10 @@ def test_fold_matches_summarize_with_failures(monkeypatch):
 
 
 def test_fold_matches_summarize_with_a_degenerate_row():
-    cfg = load_config(None, {"inequality_selection": ("det_root_gap",)})
+    # hs_gap_ratio:824 has a vanishing denominator D(tau)
+    cfg = load_config(None, {"inequality_selection": ("hs_gap_ratio",)})
     tally, _ = _folded(lambda sink: runner.run_verify(cfg, sink))
-    assert runner.summarize(tally)["det_root_gap"]["degenerate_skipped"] == 1
+    assert runner.summarize(tally)["hs_gap_ratio"]["degenerate_skipped"] == 1
 
 
 def test_fold_keeps_min_rule_on_nan_margins():
